@@ -42,6 +42,13 @@ def write_graph(g: Graph, path, format: str = "edgelist") -> None:
         raise ValueError("format must be 'edgelist' or 'json'")
 
 
+def _node_index(path, value, what: str) -> int:
+    # bool is an int subclass, but true/false is never a node index.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _graph_from_pairs(path, n, pairs) -> Graph:
     for u, v in pairs:
         if not u < v:
@@ -53,24 +60,40 @@ def _graph_from_pairs(path, n, pairs) -> Graph:
 
 
 def read_graph(path) -> Graph:
-    """Reads either graph format (sniffed from the first character)."""
+    """Reads either graph format (sniffed from the first character).
+
+    Malformed content raises ValueError with a message naming the path."""
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
-        if set(payload) != {"n", "edges"}:
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
             raise ValueError(f"{path}: graph object needs exactly 'n' and 'edges'")
-        return _graph_from_pairs(
-            path, payload["n"], [tuple(e) for e in payload["edges"]]
-        )
+        n = _node_index(path, payload["n"], "'n'")
+        edges = payload["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise ValueError(f"{path}: 'edges' must be a list of [u, v] pairs")
+        pairs = [
+            (_node_index(path, u, "edge endpoint"), _node_index(path, v, "edge endpoint"))
+            for u, v in edges
+        ]
+        return _graph_from_pairs(path, n, pairs)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"{path}: header must be 'n <edge count>'")
-    n, count = int(head[0]), int(head[1])
+    try:
+        n, count = int(head[0]), int(head[1])
+    except ValueError:
+        raise ValueError(f"{path}: header {lines[0]!r} needs two integers") from None
     if count != len(lines) - 1:
         raise ValueError(
             f"{path}: header promises {count} edges, file has {len(lines) - 1}"
@@ -80,7 +103,10 @@ def read_graph(path) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: malformed edge line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"{path}: edge line {ln!r} needs two integers") from None
     return _graph_from_pairs(path, n, pairs)
 
 

@@ -10,7 +10,11 @@ node limit on all search entry points.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ResourceGuardError
 from .graph import Graph, component_masks, iter_bits, mask_of, min_degree, set_of
@@ -25,6 +29,8 @@ ORACLE_NODE_LIMIT = 12
 SUBSET_ENUM_LIMIT = 26
 
 _A, _B, _X = 0, 1, 2
+
+_log = logging.getLogger("netrobust.robustness")
 
 
 @dataclass(frozen=True)
@@ -67,84 +73,156 @@ def is_r_reachable(g: Graph, s: frozenset, r: int) -> bool:
     return any((g.adj[v] & ~m).bit_count() >= r for v in iter_bits(m))
 
 
-def _place(adj: list, rho: int, a: int, b: int, x: int, bit: int, side: int):
+def _place(rules, rho: int, a: int, b: int, x: int, bit: int, side: int):
     """Assign one node, then run forced-assignment propagation.
 
     A node of A (or B) with exactly rho assigned outside neighbors pins all
     its unassigned neighbors to its own side; more than rho is a conflict.
+    rules is (adj, tie, near, foe): placing v on a side places all of tie[v]
+    there too (near[v] is the union of their adjacency rows), and a node of
+    foe[v] already on the opposite side is a conflict (see _search_cut).
     Returns settled (a, b, x) masks, or None on conflict.
     """
+    adj, tie, near_of, foe = rules
     todo = [(bit, side)]
     while todo:
-        bit, side = todo.pop()
-        if side == _A:
-            if bit & (b | x):
-                return None
-            if bit & a:
-                continue
-            a |= bit
-        elif side == _B:
-            if bit & (a | x):
-                return None
-            if bit & b:
-                continue
-            b |= bit
+        new, side = todo.pop()
+        if side == _X:
+            x |= new
+            check = adj[new.bit_length() - 1] & (a | b)
         else:
-            x |= bit
-        v = bit.bit_length() - 1
+            own, opp = (a, b) if side == _A else (b, a)
+            new &= ~own
+            if not new:
+                continue
+            grown = near = avoid = 0
+            while new:
+                low = new & -new
+                new ^= low
+                v = low.bit_length() - 1
+                grown |= tie[v]
+                near |= near_of[v]
+                avoid |= foe[v]
+            if grown & (opp | x) or avoid & opp:
+                return None
+            if side == _A:
+                a |= grown
+            else:
+                b |= grown
+            check = (near & (a | b)) | grown
         assigned = a | b | x
-        check = adj[v] & (a | b)
-        if side != _X:
-            check |= bit
         while check:
             ub = check & -check
             check ^= ub
             u = ub.bit_length() - 1
             in_a = bool(ub & a)
-            own = a if in_a else b
-            cnt = (adj[u] & assigned & ~own).bit_count()
+            cnt = (adj[u] & assigned & ~(a if in_a else b)).bit_count()
             if cnt > rho:
                 return None
             if cnt == rho:
                 free = adj[u] & ~assigned
-                uside = _A if in_a else _B
-                while free:
-                    wb = free & -free
-                    free ^= wb
-                    todo.append((wb, uside))
+                if free:
+                    todo.append((free, _A if in_a else _B))
     return a, b, x
+
+
+def _strong_pairs(adj: list, rho: int) -> list:
+    """strong[v]: neighbors of v sharing at least 2*rho - 1 neighbors with it.
+
+    Such a pair never sits on opposite sides A and B of a rho-cut: the two
+    endpoints, plus each common neighbor (wherever it lies), give u and v
+    together at least 2 + (2*rho - 1) = 2*rho + 1 outside neighbors, so one
+    of them has more than rho.
+    """
+    need = 2 * rho - 1
+    strong = [0] * len(adj)
+    for v, row in enumerate(adj):
+        higher = row >> (v + 1) << (v + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            u = low.bit_length() - 1
+            if (row & adj[u]).bit_count() >= need:
+                strong[v] |= low
+                strong[u] |= 1 << v
+    return strong
+
+
+def _tie_classes(adj: list, rho: int):
+    """tie[v]: the component of v in the graph of strong pairs (see
+    _strong_pairs), and near[v]: the union of the adjacency rows of tie[v].
+
+    A pair already tied through other strong pairs is never tested, so a
+    clique costs one pass over the star of its first node.
+    """
+    need = 2 * rho - 1
+    n = len(adj)
+    tie = [1 << v for v in range(n)]
+    for v, row in enumerate(adj):
+        merged = tie[v]
+        rest = row & ~merged
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if (row & adj[u]).bit_count() >= need:
+                merged |= tie[u]
+        if merged != tie[v]:
+            members = list(iter_bits(merged))
+            for u in members:
+                tie[u] = merged
+    near = [0] * n
+    for v in range(n):
+        if not near[v]:
+            members = list(iter_bits(tie[v]))
+            rows = 0
+            for u in members:
+                rows |= adj[u]
+            for u in members:
+                near[u] = rows
+    return tie, near
 
 
 def _search_cut(g: Graph, rho: int, allow_x: bool):
     """Exhaustive branch-and-bound over {A, B, X} labelings.
 
     Static descending-degree order; the first non-X node is forced into A to
-    break the A/B swap symmetry. Returns (a_mask, b_mask, x_mask) or None.
+    break the A/B swap symmetry. Strong pairs (_strong_pairs) never sit on
+    opposite sides: with X allowed that is checked on placement; with X
+    empty each strong-pair component is placed as one block. Depth-first
+    over an explicit stack of pending placements, so the depth of the search
+    is not bounded by the interpreter's recursion limit. Returns
+    (a_mask, b_mask, x_mask) or None.
     """
     n = g.n
     adj = g.adj
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-
-    def rec(a: int, b: int, x: int, idx: int):
+    if allow_x:
+        rules = (adj, [1 << v for v in range(n)], adj, _strong_pairs(adj, rho))
+        first, rest = (_X, _A), (_X, _B, _A)
+    else:
+        tie, near = _tie_classes(adj, rho)
+        rules = (adj, tie, near, [0] * n)
+        first, rest = (_A,), (_B, _A)
+    # Pending placements, pushed in reverse so that A is tried before B
+    # before X, the order the returned witness depends on.
+    stack = [(0, 0, 0, 0, side) for side in first]
+    while stack:
+        a, b, x, idx, side = stack.pop()
+        placed = _place(rules, rho, a, b, x, 1 << order[idx], side)
+        if placed is None:
+            continue
+        a, b, x = placed
         assigned = a | b | x
         while idx < n and (1 << order[idx]) & assigned:
             idx += 1
         if idx == n:
-            return (a, b, x) if (a and b) else None
-        bit = 1 << order[idx]
-        if a == 0:
-            sides = (_A, _X) if allow_x else (_A,)
-        else:
-            sides = (_A, _B, _X) if allow_x else (_A, _B)
-        for side in sides:
-            placed = _place(adj, rho, a, b, x, bit, side)
-            if placed is not None:
-                found = rec(placed[0], placed[1], placed[2], idx + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(0, 0, 0, 0)
+            if a and b:
+                return a, b, x
+            continue
+        for side in rest if a else first:
+            stack.append((a, b, x, idx, side))
+    return None
 
 
 def _side_ok(g: Graph, side_mask: int, rho: int) -> bool:
@@ -217,6 +295,54 @@ def find_relaxed_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
     return TriPartition(set_of(a), set_of(b), frozenset())
 
 
+def _bounds(g: Graph) -> tuple:
+    """Certified (lb, ub) with lb <= robustness(g) <= ub, for connected g.
+
+    ub = min(delta, ceil(n/2)): a min-degree singleton against the rest, or a
+    balanced bipartition, is always a cut. lb is the largest of 1
+    (connected), delta + 1 - floor(n/2) (the smaller side S of a cut has
+    |S| <= n/2, so each of its nodes keeps delta - |S| + 1 outside
+    neighbors) and ceil(lambda2/2) (that side has |dS| <= rho |S|, and
+    Mohar's isoperimetric bound gives |dS| >= lambda2 |S| / 2). lambda2 <=
+    kappa <= delta off the complete graph, so the spectral term can only
+    help when ceil(delta/2) beats the other two; only then is it computed.
+    """
+    n = g.n
+    delta = min_degree(g)
+    half = n // 2
+    ub = min(delta, n - half)
+    lb = max(1, delta + 1 - half)
+    if lb < ub and (delta + 1) // 2 > lb:
+        # The margin absorbs eigvalsh's rounding error (far below 1e-9 at
+        # these sizes); lowering lb only costs search, never correctness.
+        lb = max(lb, math.ceil(_algebraic_connectivity(g) / 2 - 1e-9))
+    return lb, ub
+
+
+def _algebraic_connectivity(g: Graph) -> float:
+    """Second-smallest eigenvalue of the Laplacian, built from the bit rows."""
+    n = g.n
+    width = (n + 7) // 8
+    packed = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+    adjacency = bits.reshape(n, 8 * width)[:, :n].astype(float)
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    return float(np.linalg.eigvalsh(laplacian)[1])
+
+
+def _bound_names(g: Graph, lb: int, ub: int) -> tuple:
+    """Which bound set lb and which set ub, for the decision log."""
+    delta = min_degree(g)
+    floor_lb = max(1, delta + 1 - g.n // 2)
+    if lb > floor_lb:
+        lb_from = "lambda2"
+    elif lb > 1:
+        lb_from = "delta"
+    else:
+        lb_from = "connectivity"
+    return lb_from, "delta" if ub == delta else "ceil(n/2)"
+
+
 def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
     """True iff no (r-1)-degree cut exists; r = 0 is trivially true."""
     if g.n < 2:
@@ -232,25 +358,42 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
     if min_degree(g) < r:
         return False  # min-degree singleton plus the rest is an (r-1)-cut
     _guard(g, node_limit)
+    lb, ub = _bounds(g)
+    if r <= lb:
+        return True
+    if r > ub:
+        return False
     return _search_cut(g, r - 1, allow_x=True) is None
 
 
 def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     """Largest r with is_r_robust(g, r): the smallest rho admitting a cut.
 
-    Ascending search from rho = 0; bounded above by min_degree, where a
-    singleton cut always exists.
+    Certified bounds (_bounds) first; then an ascending search over the
+    rho in [lb, ub) only, ub being the answer when none of them has a cut.
+    Each call logs how it was decided at DEBUG level on
+    "netrobust.robustness".
     """
     if g.n < 2:
         raise ValueError("robustness needs at least 2 nodes")
     if len(component_masks(g)) > 1:
+        _log.debug("robustness 0: disconnected")
         return 0
     _guard(g, node_limit)
-    bound = max(min_degree(g), 1)
-    for rho in range(1, bound):
-        if _search_cut(g, rho, allow_x=True) is not None:
-            return rho
-    return bound
+    lb, ub = _bounds(g)
+    rho = lb
+    while rho < ub and _search_cut(g, rho, allow_x=True) is None:
+        rho += 1
+    if _log.isEnabledFor(logging.DEBUG):
+        lb_from, ub_from = _bound_names(g, lb, ub)
+        if lb == ub:
+            _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", rho, lb_from, ub_from)
+        else:
+            _log.debug(
+                "robustness %d: searched rho=%d..%d of [lb=%d from %s, ub=%d from %s)",
+                rho, lb, min(rho, ub - 1), lb, lb_from, ub, ub_from,
+            )
+    return rho
 
 
 def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:

@@ -100,6 +100,22 @@ def test_missing_file_is_a_plain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("float.json", '{"n": 3, "edges": [[0, 1.0], [1, 2]]}'),
+        ("string.json", '{"n": "3", "edges": [[0, 1], [1, 2]]}'),
+        ("token.edges", "3 1\n0 x\n"),
+    ],
+)
+def test_hostile_graph_file_is_a_plain_error(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main(["robustness", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
 def test_node_limit_guard_exit_code(tmp_path, capsys):
     p = tmp_path / "k30.edges"
     write_graph(complete(30), p)

@@ -246,3 +246,14 @@ def test_keystone_smoke_single_variable():
             if sat is not None:
                 assert nae_check(phi, assignment_from_cut(g1, cut1))
                 assert nae_check(phi, assignment_from_cut(g2, cut2))
+
+
+@pytest.mark.parametrize("rho", [1, 2])
+def test_relaxed_verdicts_match_brute_force_up_to_two_variables(rho):
+    # the strong-pair blocks placed whole must never hide a relaxed cut
+    build = build_g_phi if rho == 1 else lambda phi: build_g_rho_phi(phi, 2)
+    for t in (1, 2):
+        for m in (1, 2):
+            for phi in enumerate_nae3sat(t, m):
+                cut = find_relaxed_degree_cut(build(phi).graph, rho, node_limit=250)
+                assert (cut is not None) == (nae3sat_satisfiable(phi) is not None), phi

@@ -80,6 +80,24 @@ def test_read_json_graph_rejections(tmp_path):
         read_graph(p)
 
 
+def test_read_graph_rejects_non_integer_ids(tmp_path):
+    cases = {
+        "float.json": ('{"n": 3, "edges": [[0, 1.0], [1, 2]]}', "edge endpoint must be an integer, got 1.0"),
+        "string.json": ('{"n": "3", "edges": [[0, 1], [1, 2]]}', "'n' must be an integer, got '3'"),
+        "bool.json": ('{"n": 3, "edges": [[0, true]]}', "must be an integer, got True"),
+        "shape.json": ('{"n": 3, "edges": [[0, 1, 2]]}', "list of \\[u, v\\] pairs"),
+        "syntax.json": ('{"n": 3,', "invalid JSON"),
+        "token.edges": ("3 1\n0 x\n", "edge line '0 x' needs two integers"),
+        "head.edges": ("three 0\n", "header 'three 0' needs two integers"),
+    }
+    for name, (text, message) in cases.items():
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_graph(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_error_messages_name_the_file(tmp_path):
     p = tmp_path / "weird.edges"
     p.write_text("2 1\n1 0\n")

@@ -4,18 +4,21 @@ The enumeration oracle is the ground truth here; the branch-and-bound search
 must match it exactly on everything small enough to enumerate.
 """
 
+import logging
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netrobust.connectivity import vertex_connectivity
 from netrobust.errors import ResourceGuardError
-from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, min_degree, path
+from netrobust.generators import RngSeed, gen_preferential
+from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, min_degree, path
 from netrobust.robustness import (
     DEFAULT_NODE_LIMIT,
     TriPartition,
+    _bounds,
     check_subsets_reachable,
     find_degree_cut,
     find_relaxed_degree_cut,
@@ -38,6 +41,65 @@ def graphs(draw, min_n=2, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
     return Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def reference_has_cut(g: Graph, rho: int) -> bool:
+    """Plain exhaustive {A, B, X} search with forced-assignment propagation
+    only: no bounds and no strong-pair rule. Recursive; n stays small here."""
+    adj = g.adj
+    n = g.n
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+
+    def place(a, b, x, bit, side):
+        todo = [(bit, side)]
+        while todo:
+            bit, side = todo.pop()
+            if side == "A":
+                if bit & (b | x):
+                    return None
+                if bit & a:
+                    continue
+                a |= bit
+            elif side == "B":
+                if bit & (a | x):
+                    return None
+                if bit & b:
+                    continue
+                b |= bit
+            else:
+                x |= bit
+            assigned = a | b | x
+            check = adj[bit.bit_length() - 1] & (a | b)
+            if side != "X":
+                check |= bit
+            for u in iter_bits(check):
+                in_a = a >> u & 1
+                outside = (adj[u] & assigned & ~(a if in_a else b)).bit_count()
+                if outside > rho:
+                    return None
+                if outside == rho:
+                    todo += [(1 << w, "A" if in_a else "B") for w in iter_bits(adj[u] & ~assigned)]
+        return a, b, x
+
+    def rec(a, b, x, idx):
+        while idx < n and (a | b | x) >> order[idx] & 1:
+            idx += 1
+        if idx == n:
+            return bool(a and b)
+        for side in "ABX" if a else "AX":
+            placed = place(a, b, x, 1 << order[idx], side)
+            if placed is not None and rec(*placed, idx + 1):
+                return True
+        return False
+
+    return rec(0, 0, 0, 0)
+
+
+def reference_robustness(g: Graph) -> int:
+    """The ascending loop robustness() ran before certified bounds: search
+    every rho below the minimum degree, for a connected g."""
+    bound = max(min_degree(g), 1)
+    return next((rho for rho in range(1, bound) if reference_has_cut(g, rho)), bound)
 
 
 def cut_is_valid(g: Graph, cut: TriPartition, rho: int) -> bool:
@@ -169,6 +231,59 @@ def test_search_agrees_with_oracle_on_seeded_batch():
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
         for r in range(0, n + 1):
             assert is_r_robust(g, r) == naive_is_r_robust(g, r), (g.n, list(g.edges()), r)
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    g = cycle(1500)
+    cut = find_degree_cut(g, 1, node_limit=None)
+    assert cut is not None and cut_is_valid(g, cut, 1)
+    assert robustness(g, node_limit=None) == 1
+
+
+def reference_corpus():
+    """Connected graphs of 13-20 nodes. The reference search takes seconds
+    on a dense G(n, p) above 16 nodes, so p = 0.8 stops at n = 16 and
+    p = 0.6 at n = 18."""
+    rng = random.Random(0xB0B)
+    for p, top in ((0.4, 20), (0.6, 18), (0.8, 16)):
+        for n in range(13, top + 1):
+            g = random_graph(rng, n, p)
+            if is_connected(g):
+                yield g
+    for r in (2, 3, 4):
+        for n in (13, 16, 20):
+            yield gen_preferential(n, r, RngSeed(7, 10 * r + n))
+    for n in (13, 16):
+        yield complete(n)
+    for n in (14, 16, 18, 20):
+        yield counterexample(n)
+
+
+def test_bounded_search_matches_plain_ascending_search():
+    for g in reference_corpus():
+        assert robustness(g) == reference_robustness(g), (g.n, list(g.edges()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=2, max_n=12))
+def test_bounds_bracket_the_oracle(g):
+    assume(is_connected(g))
+    lb, ub = _bounds(g)
+    exact = next(r for r in range(g.n + 1) if not naive_is_r_robust(g, r + 1))
+    assert lb <= exact <= ub
+
+
+def test_decision_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    assert robustness(complete(8)) == 4
+    assert robustness(counterexample(8)) == 1
+    assert robustness(Graph(4, [(0, 1), (2, 3)])) == 0
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages == [
+        "robustness 4: lb=ub (lb from delta, ub from ceil(n/2)), no search",
+        "robustness 1: searched rho=1..1 of [lb=1 from connectivity, ub=4 from delta)",
+        "robustness 0: disconnected",
+    ]
 
 
 # --- subset reachability ----------------------------------------------------
