@@ -6,70 +6,99 @@ from .graph import Graph, component_masks, is_connected, iter_bits, min_degree
 
 
 class _SplitFlow:
-    """Unit-capacity flow network: node v becomes arcs 2v (in) -> 2v+1 (out).
+    """Unit-capacity max-flow on the node-split digraph of g, searched with
+    bitmask frontiers.
 
-    Built once per graph; capacities are reset for each terminal pair. All
-    arcs have capacity 1, which suffices because every path is throttled by
-    an interior in->out arc anyway.
+    Node v stands for an arc in_v -> out_v and edge {u, v} for the arcs
+    out_u -> in_v and out_v -> in_u, all of capacity 1, so a flow of value k
+    from out_s to in_t is k internally node-disjoint s-t paths. The split
+    digraph is never built. res[v] is the bitmask of residual arcs
+    out_v -> in_w: the adjacency row of v less the flow edge leaving v.
+
+    Built once per graph and reused for every terminal pair: max_flow puts
+    back the rows it changed before it returns, so each call starts from
+    zero flow.
     """
 
     def __init__(self, g: Graph):
-        self.size = 2 * g.n
-        self.head: list[list[int]] = [[] for _ in range(self.size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        for v in range(g.n):
-            self._arc(2 * v, 2 * v + 1)
-        for u, v in g.edges():
-            self._arc(2 * u + 1, 2 * v)
-            self._arc(2 * v + 1, 2 * u)
-
-    def _arc(self, a: int, b: int) -> None:
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(1)
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
+        self.adj = g.adj
+        self.res = list(g.adj)
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
-        """BFS augmenting paths from s to t, stopping once flow reaches limit."""
-        for i in range(0, len(self.cap), 2):
-            self.cap[i] = 1
-            self.cap[i + 1] = 0
+        """Number of internally node-disjoint s-t paths for non-adjacent s, t,
+        counted up to limit.
+
+        Each augmenting path comes from a BFS over the residual states, one
+        layer of in-states and one of out-states at a time:
+
+        - out_v -> in_w for w in res[v];
+        - out_v -> in_v if flow passes through v (cancelling it);
+        - in_w -> out_w if no flow passes through w;
+        - in_w -> out_pred[w] if flow passes through w (cancelling the edge
+          pred[w] -> w).
+        """
+        adj, res = self.adj, self.res
+        t_bit = 1 << t
+        pred: dict = {}  # flow edge pred[w] -> w, for every w with flow through it
+        succ: dict = {}  # flow edge v -> succ[v], likewise
+        busy = 0  # bitmask of the nodes with flow through them
+        touched = []  # rows of res that lost a bit
         flow = 0
-        parent = [-1] * self.size
         while flow < limit:
-            for i in range(self.size):
-                parent[i] = -1
-            parent[s] = -2
-            queue = [s]
-            qi = 0
-            while qi < len(queue) and parent[t] == -1:
-                a = queue[qi]
-                qi += 1
-                for e in self.head[a]:
-                    b = self.to[e]
-                    if self.cap[e] > 0 and parent[b] == -1:
-                        parent[b] = e
-                        if b == t:
-                            break
-                        queue.append(b)
-            if parent[t] == -1:
-                break
-            b = t
-            while b != s:
-                e = parent[b]
-                self.cap[e] -= 1
-                self.cap[e ^ 1] += 1
-                b = self.to[e ^ 1]
+            outs = []  # outs[i]: the out-states first reached in layer i
+            seen_in = seen_out = frontier = 1 << s
+            while frontier:
+                outs.append(frontier)
+                step = 0
+                f = frontier
+                while f and not step & t_bit:
+                    low = f & -f
+                    f ^= low
+                    step |= res[low.bit_length() - 1]
+                if step & t_bit:
+                    break
+                step = (step | frontier & busy) & ~seen_in
+                seen_in |= step
+                frontier = step & ~busy
+                for w in iter_bits(step & busy):
+                    frontier |= 1 << pred[w]
+                frontier &= ~seen_out
+                seen_out |= frontier
+            else:
+                break  # in_t is out of reach: the flow is maximum
+            # Walk back from in_t: in_w was reached from some out_u of the
+            # previous layer, and out_u from in_u, or from in_succ[u] when
+            # flow passes through u.
+            added, removed = [], []
+            w = t
+            for frontier in reversed(outs):
+                for u in iter_bits(frontier & adj[w]):
+                    if res[u] >> w & 1:
+                        break
+                else:
+                    u = w  # out_w -> in_w, cancelling the flow through w
+                if u != w:
+                    added.append((u, w))
+                if busy >> u & 1:
+                    removed.append((u, succ[u]))
+                    w = succ[u]
+                else:
+                    w = u
+            for u, w in removed:
+                res[u] |= 1 << w
+                del succ[u], pred[w]
+            for u, w in added:
+                res[u] &= ~(1 << w)
+                touched.append(u)
+                if u != s:
+                    succ[u] = w
+                if w != t:
+                    pred[w] = u
+            busy = sum(1 << v for v in pred)
             flow += 1
+        for v in touched:
+            res[v] = adj[v]
         return flow
-
-
-def _local_connectivity(net: _SplitFlow, u: int, v: int, limit: int) -> int:
-    """Max number of internally node-disjoint u-v paths for non-adjacent u, v."""
-    return net.max_flow(2 * u + 1, 2 * v, limit)
 
 
 def _terminal_pairs(g: Graph):
@@ -100,7 +129,7 @@ def vertex_connectivity(g: Graph) -> int:
         return best  # complete graph convention
     net = _SplitFlow(g)
     for u, v in _terminal_pairs(g):
-        best = min(best, _local_connectivity(net, u, v, best))
+        best = min(best, net.max_flow(u, v, best))
         if best == 0:
             break
     return best
@@ -152,7 +181,8 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if k > g.n - 1:
         return False
-    if min_degree(g) < k:
+    delta = min_degree(g)
+    if delta < k:
         return False
     if not is_connected(g):
         return False
@@ -160,10 +190,10 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
         return True
     if k == 2:
         return not _has_articulation_point(g)
-    if min_degree(g) == g.n - 1:
+    if delta == g.n - 1:
         return True  # complete
     net = _SplitFlow(g)
     for u, v in _terminal_pairs(g):
-        if _local_connectivity(net, u, v, k) < k:
+        if net.max_flow(u, v, k) < k:
             return False
     return True

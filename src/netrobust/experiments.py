@@ -9,17 +9,27 @@ import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .connectivity import connectivity_at_least, vertex_connectivity
 from .generators import (
     RngSeed,
     gen_geometric,
     gen_preferential,
     graph_from_pair_mask,
+    pair_indices,
     pair_uniforms,
     rng_for,
 )
 from .graph import min_degree
-from .robustness import check_subsets_reachable, is_r_robust, robustness
+from .robustness import (
+    DEFAULT_NODE_LIMIT,
+    _guard,
+    _subset_guard,
+    check_subsets_reachable,
+    is_r_robust,
+    robustness,
+)
 
 # Exact robustness is a branch-and-bound search; sweeps refuse larger n.
 ER_EXACT_LIMIT = 22
@@ -153,35 +163,85 @@ def _seed_range(spec: SweepSpec):
     return spec.base_seed.stream, spec.base_seed.stream + spec.trials - 1
 
 
+def _guard_er_sweep(spec: SweepSpec, n: int) -> None:
+    """Raise every size guard the requested properties can trip, before any
+    trial is sampled: the degree prefilter and the monotone skip in
+    run_er_sweep may never evaluate the property that would trip it."""
+    if "r_robust" in spec.properties:
+        if n > spec.exact_limit:
+            raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
+        if spec.r >= 2:  # r = 1 is connectivity and runs no cut search
+            _guard(n, DEFAULT_NODE_LIMIT)
+    for prop in spec.properties:
+        kind, cap = _parse_property(prop)
+        if kind == "s_property":
+            _subset_guard(n, cap)
+
+
 def run_er_sweep(spec: SweepSpec):
     """Sample G(n, p) at p = threshold + x/n for each offset x, with the
     per-pair uniforms shared across offsets (coupled, so every property is
-    monotone in p sample-by-sample). One record per (offset, property)."""
+    monotone in p sample-by-sample). One record per (offset, property), in
+    the order of spec.offsets and spec.properties.
+
+    Each trial visits the distinct p values in ascending order and does only
+    the work monotonicity leaves undecided:
+
+    - Degrees are counted from the pair mask with numpy. Below minimum
+      degree r every property fails (r-robust implies r-connected implies
+      minimum degree r, and a node of degree < r is a singleton that is not
+      r-reachable), so no Graph is built.
+    - A property that holds at some p holds at every higher p of the same
+      trial, so it is counted there without being evaluated, and a Graph is
+      built only while some property is still undecided.
+
+    Size guards (exact_limit, the cut-search node limit for r_robust with
+    r >= 2, the subset-enumeration guard for s_property) are raised before
+    the first trial is sampled.
+    """
     if spec.family != "erdos_renyi":
         raise ValueError("spec family must be erdos_renyi")
     n = int(spec.n_or_l)
-    if "r_robust" in spec.properties and n > spec.exact_limit:
-        raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
     t = threshold_p(n, spec.r)
+    _guard_er_sweep(spec, n)
     points = []
     for x in spec.offsets:
         raw = t + float(x) / n
         p = min(1.0, max(0.0, raw))
         points.append((float(x), p, p != raw))
-    counts = {(i, prop): 0 for i in range(len(points)) for prop in spec.properties}
+    ascending = sorted({p for _, p, _ in points})
+    props = tuple(dict.fromkeys(spec.properties))
+    counts = {(p, prop): 0 for p in ascending for prop in props}
+    iu, ju = pair_indices(n)
     for k in range(spec.trials):
         u = pair_uniforms(n, rng_for(spec.base_seed.child(k)))
-        for i, (_, p, _) in enumerate(points):
-            g = graph_from_pair_mask(n, u < p)
-            for prop in spec.properties:
-                if _evaluate(prop, g, spec.r):
-                    counts[i, prop] += 1
+        # Pairs present at the highest p; every lower p selects among them.
+        top = np.flatnonzero(u < max(ascending, default=0.0))
+        u_top, iu_top, ju_top = u[top], iu[top], ju[top]
+        held = []  # properties that hold at this p, hence at every higher p
+        for p in ascending:
+            if len(held) < len(props):
+                present = u_top < p
+                degrees = np.bincount(iu_top[present], minlength=n)
+                degrees += np.bincount(ju_top[present], minlength=n)
+                if degrees.min() >= spec.r:
+                    undecided = [prop for prop in props if prop not in held]
+                    g = None
+                    if any(prop != "min_degree_r" for prop in undecided):
+                        g = graph_from_pair_mask(n, u < p)
+                    held += [
+                        prop
+                        for prop in undecided
+                        if prop == "min_degree_r" or _evaluate(prop, g, spec.r)
+                    ]
+            for prop in held:
+                counts[p, prop] += 1
     lo, hi = _seed_range(spec)
     records = []
-    for i, (x, p, clamped) in enumerate(points):
+    for x, p, clamped in points:
         flags = f"x={x!r}" + (";clamped" if clamped else "")
         for prop in spec.properties:
-            e = counts[i, prop] / spec.trials
+            e = counts[p, prop] / spec.trials
             records.append(
                 SweepRecord(
                     family=spec.family,

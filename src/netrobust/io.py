@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
@@ -273,25 +274,54 @@ def read_consensus_config(path):
     return config, initial
 
 
+def _real(value, what: str) -> float:
+    # bool is an int subclass, but true/false is never a sweep coordinate.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _sweep_offsets(family, offsets) -> tuple:
+    """geometric1d sweeps take [k, radius] pairs; the other families take
+    real-number offsets."""
+    if not isinstance(offsets, list):
+        raise ValueError(f"'offsets' must be a list, got {offsets!r}")
+    if family != "geometric1d":
+        return tuple(_real(x, f"{family} offset") for x in offsets)
+    points = []
+    for point in offsets:
+        if not (isinstance(point, list) and len(point) == 2):
+            raise ValueError(f"geometric1d offsets are [k, radius] pairs, got {point!r}")
+        points.append((_real(point[0], "k"), _real(point[1], "radius")))
+    return tuple(points)
+
+
 def read_sweep_spec(path) -> SweepSpec:
     """JSON sweep spec. Keys: family, n (or l), r, trials, seed, and
-    optionally stream, offsets, properties, exact_limit."""
+    optionally stream, offsets, properties, exact_limit.
+
+    Malformed content raises ValueError with a message naming the path."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: sweep spec must be a JSON object")
     try:
         family = payload["family"]
         if "n" in payload and "l" in payload:
-            raise ValueError(f"{path}: give n or l, not both")
+            raise ValueError("give n or l, not both")
         n_or_l = payload["n"] if "n" in payload else payload["l"]
         seed = RngSeed(int(payload["seed"]), int(payload.get("stream", 0)))
         kwargs = {}
         if "offsets" in payload:
-            offsets = payload["offsets"]
-            kwargs["offsets"] = tuple(
-                tuple(x) if isinstance(x, list) else float(x) for x in offsets
-            )
+            kwargs["offsets"] = _sweep_offsets(family, payload["offsets"])
         if "properties" in payload:
-            kwargs["properties"] = tuple(payload["properties"])
+            props = payload["properties"]
+            if not (isinstance(props, list) and all(isinstance(x, str) for x in props)):
+                raise ValueError(f"'properties' must be a list of names, got {props!r}")
+            kwargs["properties"] = tuple(props)
         if "exact_limit" in payload:
             kwargs["exact_limit"] = int(payload["exact_limit"])
         return SweepSpec(
@@ -304,3 +334,5 @@ def read_sweep_spec(path) -> SweepSpec:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing spec key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

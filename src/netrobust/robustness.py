@@ -237,12 +237,13 @@ def _check_witness(g: Graph, a: int, b: int, rho: int) -> None:
         raise AssertionError("cut witness fails outside-neighbor recount")
 
 
-def _guard(g: Graph, node_limit) -> None:
-    if g.n < 2:
+def _guard(n: int, node_limit) -> None:
+    """Refuse a cut search on n nodes before any of it runs."""
+    if n < 2:
         raise ValueError("cut search needs at least 2 nodes")
-    if node_limit is not None and g.n > node_limit:
+    if node_limit is not None and n > node_limit:
         raise ResourceGuardError(
-            f"cut search on {g.n} nodes exceeds the node limit {node_limit}; "
+            f"cut search on {n} nodes exceeds the node limit {node_limit}; "
             "pass a higher node_limit to override (search is exponential)"
         )
 
@@ -265,7 +266,7 @@ def _trivial_cut(g: Graph, rho: int):
 
 def find_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
     """A rho-degree cut (A, B, X) of g, or None if none exists. Exact."""
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     found = _trivial_cut(g, rho)
@@ -280,7 +281,7 @@ def find_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
 
 def find_relaxed_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
     """As find_degree_cut but X forced empty (a full bipartition)."""
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     found = _trivial_cut(g, rho)
@@ -357,7 +358,7 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
         return True  # connected, and 1-robust iff connected
     if min_degree(g) < r:
         return False  # min-degree singleton plus the rest is an (r-1)-cut
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     lb, ub = _bounds(g)
     if r <= lb:
         return True
@@ -379,7 +380,7 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     if len(component_masks(g)) > 1:
         _log.debug("robustness 0: disconnected")
         return 0
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     lb, ub = _bounds(g)
     rho = lb
     while rho < ub and _search_cut(g, rho, allow_x=True) is None:
@@ -396,6 +397,16 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     return rho
 
 
+def _subset_guard(n: int, cap: int) -> None:
+    """Refuse a subset enumeration on n nodes before any of it runs."""
+    if not 1 <= cap <= n - 1:
+        raise ValueError("cap must be between 1 and n-1")
+    if n > SUBSET_ENUM_LIMIT:
+        raise ResourceGuardError(
+            f"subset enumeration on {n} nodes exceeds the guard {SUBSET_ENUM_LIMIT}"
+        )
+
+
 def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:
     """True iff every nonempty node set of size <= cap is r-reachable.
 
@@ -405,14 +416,9 @@ def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:
     fails in general.
     """
     n = g.n
-    if not 1 <= cap <= n - 1:
-        raise ValueError("cap must be between 1 and n-1")
+    _subset_guard(n, cap)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if n > SUBSET_ENUM_LIMIT:
-        raise ResourceGuardError(
-            f"subset enumeration on {n} nodes exceeds the guard {SUBSET_ENUM_LIMIT}"
-        )
     if r == 0:
         return True
     adj = g.adj

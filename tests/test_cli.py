@@ -116,6 +116,21 @@ def test_hostile_graph_file_is_a_plain_error(tmp_path, capsys, name, text):
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "tag, spec",
+    [
+        ("er", {"family": "erdos_renyi", "n": 8, "offsets": [[1, 2]]}),
+        ("geom", {"family": "geometric1d", "l": 6.0, "offsets": [1.5]}),
+    ],
+)
+def test_hostile_sweep_spec_is_a_plain_error(tmp_path, capsys, tag, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({**spec, "r": 2, "trials": 2, "seed": 0}))
+    assert main(["sweep", tag, "--spec", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
 def test_node_limit_guard_exit_code(tmp_path, capsys):
     p = tmp_path / "k30.edges"
     write_graph(complete(30), p)

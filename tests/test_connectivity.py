@@ -1,11 +1,24 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netrobust.connectivity import connectivity_at_least, vertex_connectivity
-from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, path, with_added_node
+from netrobust.connectivity import _SplitFlow, connectivity_at_least, vertex_connectivity
+from netrobust.generators import gen_erdos_renyi
+from netrobust.graph import (
+    Graph,
+    complete,
+    counterexample,
+    cycle,
+    is_connected,
+    iter_bits,
+    min_degree,
+    path,
+    with_added_node,
+)
 
 
 def brute_connectivity(g: Graph) -> int:
@@ -97,3 +110,117 @@ def test_flow_equals_enumeration(g):
 @given(graphs(), st.integers(0, 8))
 def test_threshold_decision_consistent(g, k):
     assert connectivity_at_least(g, k) == (vertex_connectivity(g) >= k)
+
+
+def test_split_flow_reused_across_pairs_matches_a_fresh_network():
+    rng = random.Random(7)
+    for n, p in [(12, 0.4), (30, 0.25), (60, 0.12), (40, 0.6)]:
+        g = gen_erdos_renyi(n, p, rng.randrange(2**32))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)]
+        rng.shuffle(pairs)
+        net = _SplitFlow(g)
+        for u, v in pairs[:150]:
+            limit = rng.randint(1, 4)
+            assert net.max_flow(u, v, limit) == _SplitFlow(g).max_flow(u, v, limit), (n, u, v, limit)
+            assert net.res == g.adj  # every residual row is back at rest
+
+
+def brute_local_connectivity(g: Graph, u: int, v: int) -> int:
+    """Menger: the fewest nodes whose removal separates non-adjacent u and v."""
+    others = [w for w in range(g.n) if w not in (u, v)]
+    for size in range(len(others) + 1):
+        for cut in itertools.combinations(others, size):
+            alive = g.full_mask() & ~sum(1 << w for w in cut)
+            seen = frontier = 1 << u
+            while frontier:
+                nxt = 0
+                for w in iter_bits(frontier):
+                    nxt |= g.adj[w]
+                frontier = nxt & alive & ~seen
+                seen |= frontier
+            if not seen >> v & 1:
+                return size
+    raise AssertionError("non-adjacent nodes cannot be separated")
+
+
+# Trees plus chords where some augmenting path has to walk back along an
+# earlier path, cancelling its flow: found by random search against an arc
+# by arc max-flow. Without the out_v -> in_v residual arc the first graph's
+# flow from 3 to 8 comes out one short; without giving a cancelled edge
+# back to res, so does the second graph's flow from 3 to 4.
+BACKTRACK_GRAPHS = [
+    (9, [(0, 1), (0, 2), (1, 6), (1, 8), (2, 3), (2, 4), (3, 7), (4, 5), (5, 8), (6, 7)]),
+    (10, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 7), (1, 3), (1, 8), (2, 4), (2, 5), (2, 7),
+          (3, 5), (4, 7), (4, 9), (5, 6), (6, 9), (7, 8)]),
+]
+
+
+def sparse_graphs(rng, count):
+    """Random trees plus a few chords: long paths, few shortcuts."""
+    for _ in range(count):
+        n = rng.randint(4, 10)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        yield n, sorted(edges)
+
+
+def test_split_flow_on_sparse_graphs_matches_menger():
+    assert _SplitFlow(Graph(*BACKTRACK_GRAPHS[0])).max_flow(3, 8, 9) == 2
+    assert _SplitFlow(Graph(*BACKTRACK_GRAPHS[1])).max_flow(3, 4, 10) == 3
+    for n, edges in BACKTRACK_GRAPHS + list(sparse_graphs(random.Random(5), 150)):
+        g = Graph(n, edges)
+        net = _SplitFlow(g)
+        for u in range(n):
+            for v in range(n):
+                if u != v and not g.has_edge(u, v):
+                    assert net.max_flow(u, v, n) == brute_local_connectivity(g, u, v), (edges, u, v)
+
+
+def scipy_split_graph(g: Graph):
+    """Node v becomes 2v -> 2v + 1; edge {u, v} becomes 2u + 1 -> 2v and
+    2v + 1 -> 2u; every capacity is 1."""
+    from scipy.sparse import csr_array
+
+    rows = [2 * v for v in range(g.n)]
+    cols = [2 * v + 1 for v in range(g.n)]
+    for u, v in g.edges():
+        rows += [2 * u + 1, 2 * v + 1]
+        cols += [2 * v, 2 * u]
+    return csr_array(
+        (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(2 * g.n, 2 * g.n)
+    )
+
+
+def scipy_connectivity(g: Graph) -> int:
+    """Even's reduction on scipy's max-flow: a minimum vertex cut has at most
+    min_degree(g) nodes, so it misses one of the first min_degree(g) + 1
+    nodes, and the flow from that node to a non-neighbor meets the cut."""
+    from scipy.sparse.csgraph import maximum_flow
+
+    split = scipy_split_graph(g)
+    best = g.n - 1
+    for s in range(min_degree(g) + 1):
+        for t in range(g.n):
+            if t != s and not g.has_edge(s, t):
+                best = min(best, maximum_flow(split, 2 * s + 1, 2 * t).flow_value)
+    return best
+
+
+def test_vertex_connectivity_matches_scipy_max_flow():
+    pytest.importorskip("scipy")
+    from scipy.sparse.csgraph import maximum_flow
+
+    rng = random.Random(11)
+    for n in [20, 35, 50, 70, 90, 120]:
+        for c in (0.8, 1.5, 3.0):
+            g = gen_erdos_renyi(n, min(1.0, c * math.log(n) / n), rng.randrange(2**32))
+            assert vertex_connectivity(g) == scipy_connectivity(g), (n, c)
+            # pair by pair on one reused network, without a limit
+            split = scipy_split_graph(g)
+            net = _SplitFlow(g)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)]
+            for u, v in rng.sample(pairs, 20):
+                expected = maximum_flow(split, 2 * u + 1, 2 * v).flow_value
+                assert net.max_flow(u, v, n) == expected, (n, c, u, v)

@@ -3,10 +3,13 @@ import math
 
 import pytest
 
+from netrobust import experiments
+from netrobust.errors import ResourceGuardError
 from netrobust.experiments import (
     ER_EXACT_LIMIT,
     SweepRecord,
     SweepSpec,
+    _evaluate,
     binomial_ci_halfwidth,
     gnuplot_script,
     half_crossing,
@@ -17,7 +20,9 @@ from netrobust.experiments import (
     threshold_p,
     write_records,
 )
-from netrobust.generators import RngSeed
+from netrobust.generators import RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
+from netrobust.graph import min_degree
+from netrobust.robustness import DEFAULT_NODE_LIMIT, SUBSET_ENUM_LIMIT
 
 
 def by_prop(records, offset_or_param=None):
@@ -154,6 +159,114 @@ def test_er_sweep_guards():
     assert len(records) == 2
     with pytest.raises(ValueError, match="must be erdos_renyi"):
         run_er_sweep(SweepSpec("preferential", 10, 2, 5, 1))
+
+
+def reference_er_sweep(spec):
+    """The evaluate-every-offset loop: a Graph per offset per trial, every
+    property evaluated on it, offsets in the order given."""
+    n = int(spec.n_or_l)
+    t = threshold_p(n, spec.r)
+    points = []
+    for x in spec.offsets:
+        raw = t + float(x) / n
+        p = min(1.0, max(0.0, raw))
+        points.append((float(x), p, p != raw))
+    counts = {(i, prop): 0 for i in range(len(points)) for prop in spec.properties}
+    for k in range(spec.trials):
+        u = pair_uniforms(n, rng_for(spec.base_seed.child(k)))
+        for i, (_, p, _) in enumerate(points):
+            g = graph_from_pair_mask(n, u < p)
+            for prop in spec.properties:
+                if _evaluate(prop, g, spec.r):
+                    counts[i, prop] += 1
+    records = []
+    for i, (x, p, clamped) in enumerate(points):
+        for prop in spec.properties:
+            e = counts[i, prop] / spec.trials
+            records.append(
+                SweepRecord(
+                    spec.family, n, spec.r, p, prop, e, binomial_ci_halfwidth(e, spec.trials),
+                    spec.trials, spec.base_seed.stream, spec.base_seed.stream + spec.trials - 1,
+                    f"x={x!r}" + (";clamped" if clamped else ""),
+                )
+            )
+    return records
+
+
+# Unsorted, duplicated and clamped (both ends) offsets.
+MIXED_OFFSETS = (2.0, -4.0, 0.0, 2.0, -1000.0, 1.5, 1000.0, -1.0)
+ALL_KINDS = ("r_robust", "min_degree_r", "s_property:3", "r_connected")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, trials, properties",
+    [
+        (10, 30, ALL_KINDS),
+        (12, 15, ALL_KINDS),
+        (200, 3, ("min_degree_r", "r_connected")),
+    ],
+)
+def test_er_sweep_matches_the_evaluate_every_offset_loop(n, trials, properties, r):
+    spec = SweepSpec(
+        "erdos_renyi", n, r, trials, RngSeed(31, n + r), offsets=MIXED_OFFSETS, properties=properties
+    )
+    assert run_er_sweep(spec) == reference_er_sweep(spec)
+
+
+def test_er_sweep_builds_and_evaluates_only_undecided_work(monkeypatch):
+    builds, evaluations = [], []
+    real_build, real_evaluate = experiments.graph_from_pair_mask, experiments._evaluate
+
+    def build(n, mask):
+        builds.append(real_build(n, mask))
+        return builds[-1]
+
+    def evaluate(prop, g, r):
+        evaluations.append((prop, real_evaluate(prop, g, r)))
+        return evaluations[-1][1]
+
+    monkeypatch.setattr(experiments, "graph_from_pair_mask", build)
+    monkeypatch.setattr(experiments, "_evaluate", evaluate)
+    spec = SweepSpec("erdos_renyi", 12, 2, 20, RngSeed(3), offsets=MIXED_OFFSETS, properties=ALL_KINDS)
+    run_er_sweep(spec)
+    # no Graph below minimum degree r, and min_degree_r needs none at all
+    assert builds and all(min_degree(g) >= 2 for g in builds)
+    assert {prop for prop, _ in evaluations} == set(ALL_KINDS) - {"min_degree_r"}
+    # once a property holds in a trial it is not evaluated again
+    for prop in ("r_robust", "s_property:3", "r_connected"):
+        assert sum(ok for q, ok in evaluations if q == prop) <= spec.trials
+
+
+def test_er_sweep_without_offsets_has_no_records():
+    assert run_er_sweep(SweepSpec("erdos_renyi", 10, 2, 3, 1, offsets=())) == []
+
+
+def test_er_sweep_guards_fire_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a trial was sampled")
+
+    monkeypatch.setattr(experiments, "pair_uniforms", no_sampling)
+    # every offset clamps to p = 0, where no property would be evaluated
+    empty = dict(offsets=(-1000.0,), trials=2)
+    n = SUBSET_ENUM_LIMIT + 1
+    with pytest.raises(ResourceGuardError, match="subset enumeration"):
+        run_er_sweep(SweepSpec("erdos_renyi", n, 2, base_seed=1, properties=("s_property:2",), **empty))
+    with pytest.raises(ValueError, match="cap must be between"):
+        run_er_sweep(SweepSpec("erdos_renyi", 10, 2, base_seed=1, properties=("s_property:10",), **empty))
+    n = DEFAULT_NODE_LIMIT + 1
+    with pytest.raises(ResourceGuardError, match="node limit"):
+        run_er_sweep(
+            SweepSpec("erdos_renyi", n, 2, base_seed=1, properties=("r_robust",), exact_limit=n, **empty)
+        )
+
+
+def test_er_sweep_r1_robustness_needs_no_cut_search_guard():
+    n = DEFAULT_NODE_LIMIT + 1
+    spec = SweepSpec(
+        "erdos_renyi", n, 1, 4, 1, offsets=(-2.0, 3.0), properties=("r_robust",), exact_limit=n
+    )
+    assert run_er_sweep(spec) == reference_er_sweep(spec)
 
 
 def test_geometric_sweep():

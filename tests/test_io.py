@@ -319,3 +319,49 @@ def test_sweep_spec_rejections(tmp_path):
     p.write_text(json.dumps({"family": "erdos_renyi", "r": 1, "trials": 1, "seed": 0}))
     with pytest.raises(ValueError, match="missing spec key"):
         read_sweep_spec(p)
+
+
+@pytest.mark.parametrize(
+    "family, offsets, message",
+    [
+        ("erdos_renyi", [[1, 2]], "erdos_renyi offset must be a finite real number"),
+        ("erdos_renyi", [0.0, "1.5"], "erdos_renyi offset must be a finite real number"),
+        ("erdos_renyi", [True], "erdos_renyi offset must be a finite real number"),
+        ("erdos_renyi", [float("nan")], "erdos_renyi offset must be a finite real number"),
+        ("preferential", [None], "preferential offset must be a finite real number"),
+        ("erdos_renyi", 2.0, "'offsets' must be a list"),
+        ("geometric1d", [1.5], r"\[k, radius\] pairs"),
+        ("geometric1d", [[4.0, 6.5, 1.0]], r"\[k, radius\] pairs"),
+        ("geometric1d", [[4.0, "6.5"]], "radius must be a finite real number"),
+        ("geometric1d", [[False, 6.5]], "k must be a finite real number"),
+        ("geometric1d", [[4.0, float("inf")]], "radius must be a finite real number"),
+    ],
+)
+def test_sweep_spec_offsets_are_checked_per_family(tmp_path, family, offsets, message):
+    p = tmp_path / "sweep.json"
+    size = {"l": 6.0} if family == "geometric1d" else {"n": 12}
+    p.write_text(
+        json.dumps({"family": family, **size, "r": 2, "trials": 3, "seed": 1, "offsets": offsets})
+    )
+    with pytest.raises(ValueError, match=message) as exc:
+        read_sweep_spec(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must be a JSON object"),
+        ("{", "invalid JSON"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "properties": [1]}',
+         "'properties' must be a list of names"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 0, "seed": 1}', "trials must be positive"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": [1]}', "int"),
+    ],
+)
+def test_sweep_spec_errors_name_the_path(tmp_path, text, message):
+    p = tmp_path / "sweep.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_sweep_spec(p)
+    assert str(exc.value).startswith(f"{p}: ")
