@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ResourceGuardError
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, iter_bits, mask_of, set_of
 from .generators import rng_for
 from .robustness import check_subsets_reachable
 
@@ -85,16 +85,18 @@ class ConsensusTrace:
     final_spread: float
 
 
+def _node_mask(g: Graph, nodes, what: str) -> int:
+    # Range first: mask_of would allocate 1 << v bits for a far-off id v.
+    if not all(0 <= v < g.n for v in nodes):
+        raise ValueError(f"{what} contains nodes outside the graph")
+    return mask_of(nodes)
+
+
 def validate_f_local(g: Graph, adversaries: frozenset, f: int) -> bool:
     """True iff every normal node has at most f adversarial neighbors."""
-    amask = mask_of(adversaries)
-    if amask & ~g.full_mask():
-        raise ValueError("adversary set contains nodes outside the graph")
-    return all(
-        (g.adj[v] & amask).bit_count() <= f
-        for v in range(g.n)
-        if not amask >> v & 1
-    )
+    amask = _node_mask(g, adversaries, "adversary set")
+    normal = iter_bits(g.full_mask() & ~amask)
+    return all((g.adj[v] & amask).bit_count() <= f for v in normal)
 
 
 def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict") -> list:
@@ -109,29 +111,37 @@ def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict")
         raise ValueError("f must be nonnegative")
     if mode not in ("strict", "literal"):
         raise ValueError("mode must be 'strict' or 'literal'")
-    vals = list(neighbor_values)
+    return _filter(own, list(neighbor_values), f, mode)
+
+
+def _filter(own: float, vals: list, f: int, mode: str) -> list:
+    """wmsr_filter without the argument checks; drops from vals in place."""
     if f == 0:
         return vals
-    if mode == "literal" and len(vals) <= 2 * f:
-        return []
-    keep = set(range(len(vals)))
+    idx = range(len(vals))
+    # Stable sorts by value of ascending (high) and descending (low) positions put
+    # later duplicates first among the extremes; literal drops all of <= 2f values.
     if mode == "strict":
-        high = [i for i in keep if vals[i] > own]
+        high = sorted([i for i in idx if vals[i] > own], key=vals.__getitem__)[-f:]
+        low = [i for i in reversed(idx) if vals[i] < own]
     else:
-        high = list(keep)
-    # tail of (value asc, index asc) = largest values, later duplicates first
-    high.sort(key=lambda i: (vals[i], i))
-    for i in high[len(high) - min(f, len(high)):]:
-        keep.discard(i)
-    if mode == "strict":
-        low = [i for i in keep if vals[i] < own]
-    else:
-        low = list(keep)
-    # head of (value asc, index desc) = smallest values, later duplicates first
-    low.sort(key=lambda i: (vals[i], -i))
-    for i in low[: min(f, len(low))]:
-        keep.discard(i)
-    return [vals[i] for i in sorted(keep)]
+        high = sorted(idx, key=vals.__getitem__)[-f:]
+        low = [i for i in reversed(idx) if i not in high]
+    for i in sorted(high + sorted(low, key=vals.__getitem__)[:f], reverse=True):
+        del vals[i]
+    return vals
+
+
+def _wmsr_update(nbrs: list, values, config: ConsensusConfig, round_index: int, rng) -> list:
+    f, mode, strategy = config.f_parameter, config.filter_mode, config.adversary_strategy
+    out = []
+    for v, own in enumerate(values):
+        if v in config.adversary_set:
+            out.append(strategy[v].broadcast(round_index, rng))
+        else:
+            kept = _filter(own, [values[u] for u in nbrs[v]], f, mode)
+            out.append((own + sum(kept)) / (1 + len(kept)))
+    return out
 
 
 def wmsr_round(g: Graph, values, config: ConsensusConfig, round_index: int = 1, rng=None):
@@ -141,15 +151,7 @@ def wmsr_round(g: Graph, values, config: ConsensusConfig, round_index: int = 1, 
         raise ValueError("one value per node required")
     if not validate_f_local(g, config.adversary_set, config.f_parameter):
         raise ValueError("adversary placement violates F-local")
-    out = [0.0] * g.n
-    for v in range(g.n):
-        if v in config.adversary_set:
-            out[v] = config.adversary_strategy[v].broadcast(round_index, rng)
-            continue
-        nbr_vals = [values[u] for u in iter_bits(g.adj[v])]
-        kept = wmsr_filter(values[v], nbr_vals, config.f_parameter, config.filter_mode)
-        out[v] = (values[v] + sum(kept)) / (1 + len(kept))
-    return out
+    return _wmsr_update([list(iter_bits(row)) for row in g.adj], values, config, round_index, rng)
 
 
 def _normal_spread(values, normal) -> float:
@@ -159,8 +161,9 @@ def _normal_spread(values, normal) -> float:
 
 def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> ConsensusTrace:
     """Iterate wmsr_round until the normal-node spread drops under epsilon or
-    max_rounds is hit. Also enforces the validity invariant: normal values
-    never leave the initial normal [min, max] envelope."""
+    max_rounds is hit, checking F-locality once, before the first round. Also
+    enforces the validity invariant: normal values never leave the initial
+    normal [min, max] envelope."""
     if len(initial_values) != g.n:
         raise ValueError("one initial value per node required")
     normal = [v for v in range(g.n) if v not in config.adversary_set]
@@ -172,23 +175,23 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
     slack = _VALIDITY_SLACK * max(1.0, abs(lo), abs(hi))
     rounds = [tuple(float(x) for x in initial_values)]
     values = list(initial_values)
-    converged = _normal_spread(values, normal) < config.convergence_epsilon
+    spread = _normal_spread(values, normal)
+    if not spread < config.convergence_epsilon:
+        if not validate_f_local(g, config.adversary_set, config.f_parameter):
+            raise ValueError("adversary placement violates F-local")
+        nbrs = [list(iter_bits(row)) for row in g.adj]
     k = 0
-    while not converged and k < config.max_rounds:
+    while not spread < config.convergence_epsilon and k < config.max_rounds:
         k += 1
-        values = wmsr_round(g, values, config, round_index=k, rng=rng)
+        values = _wmsr_update(nbrs, values, config, k, rng)
         rounds.append(tuple(values))
         for v in normal:
             if not lo - slack <= values[v] <= hi + slack:
                 raise RuntimeError(
                     f"validity violated: node {v} left [{lo}, {hi}] at round {k}"
                 )
-        converged = _normal_spread(values, normal) < config.convergence_epsilon
-    return ConsensusTrace(
-        rounds=tuple(rounds),
-        converged=converged,
-        final_spread=_normal_spread(values, normal),
-    )
+        spread = _normal_spread(values, normal)
+    return ConsensusTrace(tuple(rounds), spread < config.convergence_epsilon, spread)
 
 
 @dataclass(frozen=True)
@@ -202,51 +205,52 @@ class CascadeState:
             raise ValueError("threshold must be positive")
 
 
+def _spread(adj: list, imask: int, r: int):
+    """Masks of the nodes newly infected in each round of threshold-r contagion
+    from imask, up to the fixpoint. A round tests only uninfected neighbors of the
+    nodes infected the round before (the seeds, at first): no other count rose."""
+    newly = imask
+    while True:
+        frontier = 0
+        for v in iter_bits(newly):
+            frontier |= adj[v]
+        newly = mask_of(
+            v for v in iter_bits(frontier & ~imask) if (adj[v] & imask).bit_count() >= r
+        )
+        if not newly:
+            return
+        imask |= newly
+        yield newly
+
+
 def cascade_step(g: Graph, state: CascadeState) -> CascadeState:
     """Simultaneously infect every node with >= threshold infected neighbors."""
-    imask = mask_of(state.infected)
-    if imask & ~g.full_mask():
-        raise ValueError("infected set contains nodes outside the graph")
-    newly = [
-        v
-        for v in range(g.n)
-        if not imask >> v & 1 and (g.adj[v] & imask).bit_count() >= state.threshold
-    ]
-    return CascadeState(
-        infected=state.infected | frozenset(newly),
-        threshold=state.threshold,
-        round=state.round + 1,
-    )
+    imask = _node_mask(g, state.infected, "infected set")
+    newly = next(_spread(g.adj, imask, state.threshold), 0)
+    return replace(state, infected=state.infected | set_of(newly), round=state.round + 1)
+
+
+def _seed_mask(g: Graph, initial, r: int) -> int:
+    if not initial:
+        raise ValueError("empty initial set")
+    return _node_mask(g, CascadeState(frozenset(initial), r).infected, "infected set")
 
 
 def run_cascade(g: Graph, initial: frozenset, r: int):
-    """Iterate cascade_step to its fixpoint; returns (final set, productive rounds)."""
-    if not initial:
-        raise ValueError("empty initial set")
-    state = CascadeState(infected=frozenset(initial), threshold=r)
-    rounds = 0
-    while True:
-        nxt = cascade_step(g, state)
-        if nxt.infected == state.infected:
-            return state.infected, rounds
-        rounds += 1
-        state = nxt
+    """Run threshold-r contagion to its fixpoint; returns (final set, productive rounds)."""
+    imask = _seed_mask(g, initial, r)
+    rounds = list(_spread(g.adj, imask, r))
+    return set_of(imask + sum(rounds)), len(rounds)  # the masks are disjoint
 
 
 def cascade_trace(g: Graph, initial: frozenset, r: int):
     """(round, infected_count, newly_infected) rows up to the fixpoint; the
     seed set counts as round 0."""
-    if not initial:
-        raise ValueError("empty initial set")
-    state = CascadeState(infected=frozenset(initial), threshold=r)
-    rows = [(0, len(state.infected), len(state.infected))]
-    while True:
-        nxt = cascade_step(g, state)
-        newly = len(nxt.infected) - len(state.infected)
-        if newly == 0:
-            return rows
-        rows.append((nxt.round, len(nxt.infected), newly))
-        state = nxt
+    imask = _seed_mask(g, initial, r)
+    rows = [(0, imask.bit_count(), imask.bit_count())]
+    for k, newly in enumerate(_spread(g.adj, imask, r), 1):
+        rows.append((k, rows[-1][1] + newly.bit_count(), newly.bit_count()))
+    return rows
 
 
 def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> bool:
@@ -269,10 +273,6 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
                 f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
                 f"the guard {SIMULATE_NODE_LIMIT}"
             )
-        everyone = frozenset(range(g.n))
-        for seed in itertools.combinations(range(g.n), m):
-            final, _ = run_cascade(g, frozenset(seed), r)
-            if final != everyone:
-                return False
-        return True
+        seeds = map(mask_of, itertools.combinations(range(g.n), m))
+        return all(s + sum(_spread(g.adj, s, r)) == g.full_mask() for s in seeds)
     raise ValueError("method must be 'exact' or 'simulate'")

@@ -263,7 +263,8 @@ def run_er_sweep(spec: SweepSpec):
 def run_geometric_sweep(spec: SweepSpec):
     """1-D geometric samples at each (k, radius) point with n = round(k l ln l
     / radius). Beyond the requested properties, always records the
-    connectivity = robustness rate and the spread > 3 * radius rate."""
+    connectivity = robustness rate and the spread > 3 * radius rate. A
+    property listed twice is evaluated once per trial and recorded twice."""
     if spec.family != "geometric1d":
         raise ValueError("spec family must be geometric1d")
     side = float(spec.n_or_l)
@@ -289,7 +290,7 @@ def run_geometric_sweep(spec: SweepSpec):
                 counts["connectivity_equals_robustness"] += 1
             if pl.spread() > 3 * radius:
                 counts["spread_exceeds_3rho"] += 1
-            for prop in spec.properties:
+            for prop in dict.fromkeys(spec.properties):
                 if _evaluate(prop, g, spec.r):
                     counts[prop] += 1
         param = f"k={k!r};rho={radius!r}"
@@ -314,7 +315,8 @@ def run_geometric_sweep(spec: SweepSpec):
 
 
 def run_ba_trials(spec: SweepSpec):
-    """Preferential-attachment trials at fixed (n, r); expected r_robust rate 1."""
+    """Preferential-attachment trials at fixed (n, r); expected r_robust rate 1.
+    A property listed twice is evaluated once per trial and recorded twice."""
     if spec.family != "preferential":
         raise ValueError("spec family must be preferential")
     n = int(spec.n_or_l)
@@ -323,7 +325,7 @@ def run_ba_trials(spec: SweepSpec):
     counts = {prop: 0 for prop in spec.properties}
     for k in range(spec.trials):
         g = gen_preferential(n, spec.r, spec.base_seed.child(k))
-        for prop in spec.properties:
+        for prop in counts:
             if _evaluate(prop, g, spec.r):
                 counts[prop] += 1
     lo, hi = _seed_range(spec)

@@ -222,12 +222,23 @@ def write_cascade_trace(rows, path) -> None:
 
 
 def read_node_set(path) -> frozenset:
-    """Whitespace-separated node indices (the cascade seed-set file)."""
+    """Whitespace-separated nonnegative node indices (the cascade seed-set file).
+
+    Malformed content raises ValueError with a message naming the path."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty node set")
-    return frozenset(int(t) for t in tokens)
+    nodes = set()
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"{path}: node index {tok!r} is not an integer") from None
+        if v < 0:
+            raise ValueError(f"{path}: node index {v} is negative")
+        nodes.add(v)
+    return frozenset(nodes)
 
 
 _STRATEGIES = {
@@ -243,20 +254,30 @@ def read_consensus_config(path):
     Keys: f_parameter, initial_values, and optionally filter_mode, max_rounds,
     convergence_epsilon, seed, stream, and adversaries as a list of
     {"node": .., "strategy": constant|uniform_random|ramp, "params": [..]}.
+
+    Malformed content raises ValueError with a message naming the path.
     """
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: consensus config must be a JSON object")
     try:
-        initial = [float(v) for v in payload["initial_values"]]
+        initial = [_real(v, "initial value") for v in payload["initial_values"]]
         adversaries = {}
         for entry in payload.get("adversaries", []):
+            if entry["strategy"] not in _STRATEGIES:
+                raise ValueError(f"unknown adversary strategy {entry['strategy']!r}")
             cls, arity = _STRATEGIES[entry["strategy"]]
             params = entry.get("params", [])
-            if len(params) != arity:
+            if not isinstance(params, list) or len(params) != arity:
                 raise ValueError(
                     f"strategy {entry['strategy']} takes {arity} parameter(s)"
                 )
-            adversaries[int(entry["node"])] = cls(*[float(p) for p in params])
+            params = [_real(p, "strategy parameter") for p in params]
+            adversaries[int(entry["node"])] = cls(*params)
         seed = payload.get("seed")
         if seed is not None:
             seed = RngSeed(int(seed), int(payload.get("stream", 0)))
@@ -264,18 +285,22 @@ def read_consensus_config(path):
             f_parameter=int(payload["f_parameter"]),
             filter_mode=payload.get("filter_mode", "strict"),
             max_rounds=int(payload.get("max_rounds", 1000)),
-            convergence_epsilon=float(payload.get("convergence_epsilon", 1e-6)),
+            convergence_epsilon=_real(
+                payload.get("convergence_epsilon", 1e-6), "convergence_epsilon"
+            ),
             adversary_set=frozenset(adversaries),
             adversary_strategy=adversaries,
             rng_seed=seed,
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing config key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return config, initial
 
 
 def _real(value, what: str) -> float:
-    # bool is an int subclass, but true/false is never a sweep coordinate.
+    # bool is an int subclass, but true/false is never a real-valued field.
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
@@ -334,5 +359,5 @@ def read_sweep_spec(path) -> SweepSpec:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing spec key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

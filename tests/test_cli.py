@@ -1,13 +1,20 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netrobust.cli import main
 from netrobust.experiments import read_records
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_roles, write_graph
+
+from test_io import HOSTILE_CONSENSUS_CONFIGS
 
 
 @pytest.fixture
@@ -131,6 +138,37 @@ def test_hostile_sweep_spec_is_a_plain_error(tmp_path, capsys, tag, spec):
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS])
+def test_hostile_consensus_config_is_a_plain_error(gap8, tmp_path, capsys, text):
+    p = tmp_path / "consensus.json"
+    p.write_text(text)
+    assert main(["consensus", "--graph", gap8, "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["0 x\n", "-1\n"])
+def test_hostile_seed_set_is_a_plain_error(gap8, tmp_path, capsys, text):
+    p = tmp_path / "seeds.txt"
+    p.write_text(text)
+    assert main(["cascade", "--graph", gap8, "--seed-set", str(p), "--threshold", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+def test_sweep_ba_with_a_repeated_property(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "family": "preferential", "n": 10, "r": 2, "trials": 4, "seed": 0,
+        "properties": ["r_robust", "r_robust"],
+    }))
+    out = tmp_path / "ba.csv"
+    assert main(["sweep", "ba", "--spec", str(spec), "--out", str(out)]) == 0
+    records = read_records(out)
+    assert [rec.property for rec in records] == ["r_robust", "r_robust"]
+    assert all(rec.estimate <= 1.0 for rec in records)
+
+
 def test_node_limit_guard_exit_code(tmp_path, capsys):
     p = tmp_path / "k30.edges"
     write_graph(complete(30), p)
@@ -234,3 +272,78 @@ def test_help_smoke(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "robustness" in capsys.readouterr().out
+
+
+# --- fuzzing the dynamics commands ------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _config_fields(hostile):
+    def field(valid):
+        return valid | _JSON if hostile else valid
+
+    strategy = st.fixed_dictionaries({
+        "node": field(st.integers(-1, 8)),
+        "strategy": field(st.sampled_from(["constant", "uniform_random", "ramp"])),
+        "params": field(st.lists(st.floats(-3, 3), min_size=1, max_size=2)),
+    })
+    return {
+        "f_parameter": field(st.integers(0, 2)),
+        "initial_values": field(st.lists(st.floats(-5, 5), min_size=8, max_size=8)),
+        "filter_mode": field(st.sampled_from(["strict", "literal"])),
+        # bounded so that a valid config cannot ask for an unbounded run
+        "max_rounds": st.integers(1, 40) | st.sampled_from([0, None, True, 2.5, "7", [], float("inf")])
+        if hostile else st.integers(1, 40),
+        "convergence_epsilon": field(st.floats(1e-9, 1.0)),
+        "seed": field(st.integers(0, 5)),
+        "stream": field(st.integers(0, 5)),
+        "adversaries": field(st.lists(strategy, max_size=2)),
+    }
+
+
+def _valid_configs():
+    fields = _config_fields(hostile=False)
+    required = {key: fields.pop(key) for key in ("f_parameter", "initial_values")}
+    return st.fixed_dictionaries(required, optional=fields)
+
+
+# a valid config, a config whose every field may be hostile, or any JSON value
+_CONFIGS = _valid_configs() | st.fixed_dictionaries({}, optional=_config_fields(hostile=True)) | _JSON
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS)
+def test_fuzzed_consensus_config_exits_cleanly(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, config = Path(tmp, "gap8.edges"), Path(tmp, "consensus.json")
+        write_graph(counterexample(8), graph)
+        config.write_text(json.dumps(payload))
+        argv = ["consensus", "--graph", str(graph), "--config", str(config), "--out", str(Path(tmp, "t.csv"))]
+        assert _run_quietly(argv) in (0, 1, 2)
+
+
+_TOKENS = st.lists(st.integers(0, 7), min_size=1, max_size=6) | st.lists(
+    st.integers(-3, 12) | st.integers() | st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TOKENS, st.integers(-1, 4))
+def test_fuzzed_seed_set_exits_cleanly(tokens, threshold):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, seeds = Path(tmp, "gap8.edges"), Path(tmp, "seeds.txt")
+        write_graph(counterexample(8), graph)
+        seeds.write_text(" ".join(map(str, tokens)), encoding="utf-8")
+        argv = ["cascade", "--graph", str(graph), "--seed-set", str(seeds), "--threshold", str(threshold)]
+        assert _run_quietly(argv) in (0, 1, 2)

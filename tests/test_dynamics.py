@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netrobust.dynamics import (
+    _filter,
     CascadeState,
     Constant,
     ConsensusConfig,
+    ConsensusTrace,
     Ramp,
     UniformRandom,
     cascade_step,
@@ -21,8 +23,8 @@ from netrobust.dynamics import (
     wmsr_round,
 )
 from netrobust.errors import ResourceGuardError
-from netrobust.generators import RngSeed, rng_for
-from netrobust.graph import Graph, complete, counterexample, cycle, path
+from netrobust.generators import RngSeed, gen_erdos_renyi, gen_preferential, rng_for
+from netrobust.graph import Graph, complete, counterexample, cycle, iter_bits, mask_of, path
 from netrobust.robustness import check_subsets_reachable
 
 
@@ -272,3 +274,197 @@ def test_exact_matches_simulation_on_seeded_batch():
                 exact = contagion_from_any_m(g, m, r)
                 sim = contagion_from_any_m(g, m, r, method="simulate")
                 assert exact == sim, (n, edges, m, r)
+
+
+# --- equivalence with the step-by-step references ----------------------------
+#
+# The references below are the straightforward loops the kernels replaced: a
+# frozenset CascadeState rebuilt every step, and one checked wmsr_round per
+# round with an index-set filter. Results must be == to theirs, floats included.
+
+
+def reference_cascade_step(g, state):
+    imask = mask_of(state.infected)
+    newly = [
+        v
+        for v in range(g.n)
+        if not imask >> v & 1 and (g.adj[v] & imask).bit_count() >= state.threshold
+    ]
+    return CascadeState(state.infected | frozenset(newly), state.threshold, state.round + 1)
+
+
+def reference_run_cascade(g, initial, r):
+    state = CascadeState(frozenset(initial), r)
+    rounds = 0
+    while True:
+        nxt = reference_cascade_step(g, state)
+        if nxt.infected == state.infected:
+            return state.infected, rounds
+        rounds += 1
+        state = nxt
+
+
+def reference_cascade_trace(g, initial, r):
+    state = CascadeState(frozenset(initial), r)
+    rows = [(0, len(state.infected), len(state.infected))]
+    while True:
+        nxt = reference_cascade_step(g, state)
+        newly = len(nxt.infected) - len(state.infected)
+        if newly == 0:
+            return rows
+        rows.append((nxt.round, len(nxt.infected), newly))
+        state = nxt
+
+
+def reference_wmsr_filter(own, neighbor_values, f, mode):
+    vals = list(neighbor_values)
+    if f == 0:
+        return vals
+    if mode == "literal" and len(vals) <= 2 * f:
+        return []
+    keep = set(range(len(vals)))
+    high = [i for i in keep if vals[i] > own] if mode == "strict" else list(keep)
+    high.sort(key=lambda i: (vals[i], i))
+    for i in high[len(high) - min(f, len(high)):]:
+        keep.discard(i)
+    low = [i for i in keep if vals[i] < own] if mode == "strict" else list(keep)
+    low.sort(key=lambda i: (vals[i], -i))
+    for i in low[: min(f, len(low))]:
+        keep.discard(i)
+    return [vals[i] for i in sorted(keep)]
+
+
+def reference_wmsr_round(g, values, config, round_index, rng):
+    assert validate_f_local(g, config.adversary_set, config.f_parameter)
+    out = [0.0] * g.n
+    for v in range(g.n):
+        if v in config.adversary_set:
+            out[v] = config.adversary_strategy[v].broadcast(round_index, rng)
+            continue
+        nbr_vals = [values[u] for u in iter_bits(g.adj[v])]
+        kept = reference_wmsr_filter(values[v], nbr_vals, config.f_parameter, config.filter_mode)
+        out[v] = (values[v] + sum(kept)) / (1 + len(kept))
+    return out
+
+
+def reference_run_consensus(g, initial_values, config):
+    normal = [v for v in range(g.n) if v not in config.adversary_set]
+    rng = rng_for(config.rng_seed) if config.rng_seed is not None else None
+
+    def spread(values):
+        return max(values[v] for v in normal) - min(values[v] for v in normal)
+
+    rounds = [tuple(float(x) for x in initial_values)]
+    values = list(initial_values)
+    k = 0
+    while not spread(values) < config.convergence_epsilon and k < config.max_rounds:
+        k += 1
+        values = reference_wmsr_round(g, values, config, k, rng)
+        rounds.append(tuple(values))
+    return rounds, spread(values) < config.convergence_epsilon, spread(values)
+
+
+def _cascade_graphs():
+    for n, c, stream in [(5, 2.0, 1), (30, 3.0, 2), (100, 4.0, 3), (100, 8.0, 4), (300, 6.0, 5), (300, 10.0, 6)]:
+        yield gen_erdos_renyi(n, min(1.0, c / n), RngSeed(41, stream))
+
+
+def test_cascades_match_the_frozenset_reference():
+    rng = random.Random(5)
+    for g in _cascade_graphs():
+        for r in (1, 2, 3):
+            seeds = [frozenset(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 8)))) for _ in range(6)]
+            seeds.append(frozenset(range(g.n)))
+            seeds.append(reference_run_cascade(g, seeds[0], r)[0])  # already at the fixpoint
+            for seed in seeds:
+                assert cascade_trace(g, seed, r) == reference_cascade_trace(g, seed, r)
+                assert run_cascade(g, seed, r) == reference_run_cascade(g, seed, r)
+                state = CascadeState(seed, r)
+                for _ in range(3):
+                    ours, ref = cascade_step(g, state), reference_cascade_step(g, state)
+                    assert ours == ref
+                    state = ours
+
+
+def test_consensus_matches_the_round_by_round_reference():
+    strategies = [Constant(2.5), UniformRandom(-0.5, 1.5), Ramp(-1.0, 0.01)]
+    cases = 0
+    for f in (0, 1, 2):
+        for mode in ("strict", "literal"):
+            for s, strategy in enumerate(strategies if f else [None]):
+                n = 24 + 7 * s
+                g = gen_preferential(n, 2 * f + 1, RngSeed(9, 10 * f + s))
+                adversaries = sorted(range(n), key=lambda v: (-g.degree(v), v))[:f]
+                config = ConsensusConfig(
+                    f_parameter=f,
+                    filter_mode=mode,
+                    max_rounds=300,
+                    adversary_set=frozenset(adversaries),
+                    adversary_strategy={a: strategy for a in adversaries},
+                    rng_seed=RngSeed(3, s),
+                )
+                rng = random.Random(f"{f}{mode}{s}")
+                initial = [rng.random() for _ in range(n)]
+                trace = run_consensus(g, initial, config)
+                rounds, converged, spread = reference_run_consensus(g, initial, config)
+                assert trace == ConsensusTrace(tuple(rounds), converged, spread)
+                assert len(rounds) > 2
+                cases += 1
+    assert cases == 14
+
+
+_REPEATS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=400)
+@given(
+    _REPEATS | st.floats(-3, 3),
+    st.lists(_REPEATS | st.floats(-3, 3), max_size=14),
+    st.integers(0, 5),
+    st.sampled_from(["strict", "literal"]),
+)
+def test_filter_matches_the_reference(own, vals, f, mode):
+    expected = [repr(x) for x in reference_wmsr_filter(own, vals, f, mode)]
+    assert [repr(x) for x in wmsr_filter(own, vals, f, mode)] == expected
+    assert [repr(x) for x in _filter(own, list(vals), f, mode)] == expected
+
+
+def test_simulate_matches_exact_for_every_m_and_r():
+    rng = random.Random(77)
+    checked = 0
+    for n in range(2, 10):
+        for p in (0.3, 0.5, 0.8):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges)
+            for r in range(1, n):
+                for m in range(r, n):
+                    exact = contagion_from_any_m(g, m, r)
+                    assert contagion_from_any_m(g, m, r, method="simulate") == exact, (n, edges, m, r)
+                    checked += 1
+    assert checked > 300
+
+
+def test_f_local_is_checked_once_a_round_runs():
+    config = ConsensusConfig(
+        f_parameter=1,
+        adversary_set=frozenset({0, 1}),
+        adversary_strategy={0: Constant(0.0), 1: Constant(0.0)},
+    )
+    with pytest.raises(ValueError, match="violates F-local"):
+        run_consensus(complete(4), [0.0, 0.0, 0.0, 1.0], config)
+    # round 0 has converged, so no round runs and nothing is checked
+    trace = run_consensus(complete(4), [5.0, 5.0, 1.0, 1.0], config)
+    assert trace.converged and trace.rounds == ((5.0, 5.0, 1.0, 1.0),)
+
+
+def test_far_off_node_ids_are_refused_before_any_shift():
+    for ids in ({10**12}, {-1}, {0, 3}):
+        with pytest.raises(ValueError, match="infected set contains nodes outside the graph"):
+            cascade_trace(path(3), frozenset(ids), 1)
+        with pytest.raises(ValueError, match="adversary set contains nodes outside the graph"):
+            validate_f_local(path(3), frozenset(ids), 1)
+    config = ConsensusConfig(
+        f_parameter=0, adversary_set=frozenset({10**12}), adversary_strategy={10**12: Constant(0.0)}
+    )
+    with pytest.raises(ValueError, match="adversary set contains nodes outside the graph"):
+        run_consensus(path(3), [0.0, 1.0, 2.0], config)

@@ -303,6 +303,42 @@ def test_ba_trials():
     assert all(rec.param == "" for rec in records)
 
 
+def _count_evaluations(monkeypatch):
+    evaluations = []
+    real_evaluate = experiments._evaluate
+
+    def evaluate(prop, g, r):
+        evaluations.append(prop)
+        return real_evaluate(prop, g, r)
+
+    monkeypatch.setattr(experiments, "_evaluate", evaluate)
+    return evaluations
+
+
+def test_ba_trials_evaluate_a_repeated_property_once(monkeypatch):
+    evaluations = _count_evaluations(monkeypatch)
+    props = ("r_robust", "min_degree_r", "r_robust")
+    records = run_ba_trials(SweepSpec("preferential", 12, 2, 6, RngSeed(3), properties=props))
+    assert [rec.property for rec in records] == list(props)
+    assert evaluations.count("r_robust") == 6 and evaluations.count("min_degree_r") == 6
+    single = run_ba_trials(SweepSpec("preferential", 12, 2, 6, RngSeed(3), properties=("r_robust",)))
+    assert records[0] == records[2] == single[0]
+    assert records[0].estimate == 1.0
+
+
+def test_geometric_sweep_evaluates_a_repeated_property_once(monkeypatch):
+    evaluations = _count_evaluations(monkeypatch)
+    point = ((4.0, 3.0),)
+    props = ("r_connected", "r_connected")
+    records = run_geometric_sweep(SweepSpec("geometric1d", 6.0, 2, 8, RngSeed(9), offsets=point, properties=props))
+    assert evaluations == ["r_connected"] * 8
+    single = run_geometric_sweep(
+        SweepSpec("geometric1d", 6.0, 2, 8, RngSeed(9), offsets=point, properties=props[:1])
+    )
+    assert records[:2] == [single[0], single[0]] and records[2:] == single[1:]
+    assert 0.0 < records[0].estimate < 1.0
+
+
 # --- persistence ------------------------------------------------------------------
 
 

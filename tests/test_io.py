@@ -215,6 +215,18 @@ def test_node_set(tmp_path):
         read_node_set(p)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("0 x\n", "node index 'x' is not an integer"), ("2 -1\n", "node index -1 is negative")],
+)
+def test_node_set_rejections_name_the_path(tmp_path, text, message):
+    p = tmp_path / "seeds.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_node_set(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 # --- configs --------------------------------------------------------------------
 
 
@@ -269,6 +281,33 @@ def test_consensus_config_defaults_and_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="takes 2 parameter"):
         read_consensus_config(p)
+
+
+HOSTILE_CONSENSUS_CONFIGS = [
+    ('{"f_parameter": 1, "initial_values": [[1], 2, 3, 4]}', "initial value must be a finite real number"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [{"node": 0, "strategy": "constant", '
+     '"params": 5}]}', "takes 1 parameter"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [7]}', "not subscriptable"),
+    ("[1, 2]", "must be a JSON object"),
+    ('{"f_parameter": 1,', "invalid JSON"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [{"node": 0, "strategy": "loud"}]}',
+     "unknown adversary strategy 'loud'"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [{"node": 0, '
+     '"strategy": "uniform_random", "params": [2, 1]}]}', "low must not exceed high"),
+    ('{"f_parameter": -1, "initial_values": [1, 2]}', "f_parameter must be nonnegative"),
+    ('{"f_parameter": 1, "initial_values": [1, NaN]}', "initial value must be a finite real number"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "max_rounds": Infinity}', "infinity"),
+    ('{"f_parameter": 1, "initial_values": "12"}', "initial value must be a finite real number"),
+]
+
+
+@pytest.mark.parametrize("text, message", HOSTILE_CONSENSUS_CONFIGS)
+def test_consensus_config_errors_name_the_path(tmp_path, text, message):
+    p = tmp_path / "consensus.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_consensus_config(p)
+    assert str(exc.value).startswith(f"{p}: ")
 
 
 def test_sweep_spec_file(tmp_path):
@@ -357,6 +396,9 @@ def test_sweep_spec_offsets_are_checked_per_family(tmp_path, family, offsets, me
          "'properties' must be a list of names"),
         ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 0, "seed": 1}', "trials must be positive"),
         ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": [1]}', "int"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": Infinity, "seed": 1}', "infinity"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "offsets": [1%s]}' % ("0" * 400),
+         "too large"),
     ],
 )
 def test_sweep_spec_errors_name_the_path(tmp_path, text, message):
