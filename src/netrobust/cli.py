@@ -15,13 +15,7 @@ import sys
 from . import io as nio
 from .dynamics import cascade_trace, run_consensus
 from .errors import ResourceGuardError
-from .experiments import (
-    gnuplot_script,
-    run_ba_trials,
-    run_er_sweep,
-    run_geometric_sweep,
-    write_records,
-)
+from .experiments import gnuplot_script, run_ba_trials, run_er_sweep, run_geometric_sweep
 from .generators import RngSeed, gen_erdos_renyi, gen_geometric, gen_preferential
 from .hardness import build_g_phi, build_g_rho_phi, build_h_phi, build_h_rho_phi
 from .robustness import (
@@ -100,7 +94,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, base_seed=RngSeed(args.seed, args.stream))
     records = runner(spec)
-    write_records(records, _out_or_stdout(args.out), args.format)
+    nio.write_records(records, _out_or_stdout(args.out), args.format)
     if args.gnuplot:
         if args.out is None or args.format != "csv":
             raise ValueError("--gnuplot needs --out with the csv format")

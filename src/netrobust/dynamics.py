@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .errors import ResourceGuardError
-from .graph import Graph, iter_bits, mask_of, set_of
+from .graph import Graph, _node_mask, iter_bits, mask_of, set_of
 from .generators import rng_for
 from .robustness import check_subsets_reachable
 
@@ -83,13 +83,6 @@ class ConsensusTrace:
     rounds: tuple
     converged: bool
     final_spread: float
-
-
-def _node_mask(g: Graph, nodes, what: str) -> int:
-    # Range first: mask_of would allocate 1 << v bits for a far-off id v.
-    if not all(0 <= v < g.n for v in nodes):
-        raise ValueError(f"{what} contains nodes outside the graph")
-    return mask_of(nodes)
 
 
 def validate_f_local(g: Graph, adversaries: frozenset, f: int) -> bool:

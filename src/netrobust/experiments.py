@@ -1,13 +1,11 @@
 """Monte-Carlo sweeps over the graph families, threshold arithmetic, and
-result persistence (CSV / JSON records with binomial confidence intervals)."""
+the sweep records they produce (binomial confidence intervals); io.py
+reads and writes the records."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +33,6 @@ from .robustness import (
 ER_EXACT_LIMIT = 22
 
 _FAMILIES = ("erdos_renyi", "geometric1d", "preferential")
-_COLUMNS = (
-    "family",
-    "n_or_l",
-    "r",
-    "param",
-    "property",
-    "estimate",
-    "ci_halfwidth",
-    "trials",
-    "seed_lo",
-    "seed_hi",
-    "flags",
-)
 
 
 def threshold_p(n: int, r: int) -> float:
@@ -159,8 +144,24 @@ def _evaluate(prop: str, g, r: int) -> bool:
     return check_subsets_reachable(g, r, cap)
 
 
-def _seed_range(spec: SweepSpec):
-    return spec.base_seed.stream, spec.base_seed.stream + spec.trials - 1
+def _record(spec: SweepSpec, n_or_l, param, prop: str, hits: int, flags: str = "") -> SweepRecord:
+    """The record of prop holding in hits of spec.trials trials, whose seeds
+    are the streams base .. base + trials - 1 of spec.base_seed."""
+    e = hits / spec.trials
+    lo = spec.base_seed.stream
+    return SweepRecord(
+        family=spec.family,
+        n_or_l=n_or_l,
+        r=spec.r,
+        param=param,
+        property=prop,
+        estimate=e,
+        ci_halfwidth=binomial_ci_halfwidth(e, spec.trials),
+        trials=spec.trials,
+        seed_lo=lo,
+        seed_hi=lo + spec.trials - 1,
+        flags=flags,
+    )
 
 
 def _guard_er_sweep(spec: SweepSpec, n: int) -> None:
@@ -236,27 +237,11 @@ def run_er_sweep(spec: SweepSpec):
                     ]
             for prop in held:
                 counts[p, prop] += 1
-    lo, hi = _seed_range(spec)
     records = []
     for x, p, clamped in points:
         flags = f"x={x!r}" + (";clamped" if clamped else "")
         for prop in spec.properties:
-            e = counts[p, prop] / spec.trials
-            records.append(
-                SweepRecord(
-                    family=spec.family,
-                    n_or_l=n,
-                    r=spec.r,
-                    param=p,
-                    property=prop,
-                    estimate=e,
-                    ci_halfwidth=binomial_ci_halfwidth(e, spec.trials),
-                    trials=spec.trials,
-                    seed_lo=lo,
-                    seed_hi=hi,
-                    flags=flags,
-                )
-            )
+            records.append(_record(spec, n, p, prop, counts[p, prop], flags))
     return records
 
 
@@ -270,7 +255,6 @@ def run_geometric_sweep(spec: SweepSpec):
     side = float(spec.n_or_l)
     if side <= 1.0:
         raise ValueError("side length must exceed 1")
-    lo, hi = _seed_range(spec)
     records = []
     for k, radius in spec.offsets:
         k = float(k)
@@ -295,22 +279,7 @@ def run_geometric_sweep(spec: SweepSpec):
                     counts[prop] += 1
         param = f"k={k!r};rho={radius!r}"
         for prop in spec.properties + extra:
-            e = counts[prop] / spec.trials
-            records.append(
-                SweepRecord(
-                    family=spec.family,
-                    n_or_l=side,
-                    r=spec.r,
-                    param=param,
-                    property=prop,
-                    estimate=e,
-                    ci_halfwidth=binomial_ci_halfwidth(e, spec.trials),
-                    trials=spec.trials,
-                    seed_lo=lo,
-                    seed_hi=hi,
-                    flags=f"n={n}",
-                )
-            )
+            records.append(_record(spec, side, param, prop, counts[prop], f"n={n}"))
     return records
 
 
@@ -328,94 +297,7 @@ def run_ba_trials(spec: SweepSpec):
         for prop in counts:
             if _evaluate(prop, g, spec.r):
                 counts[prop] += 1
-    lo, hi = _seed_range(spec)
-    records = []
-    for prop in spec.properties:
-        e = counts[prop] / spec.trials
-        records.append(
-            SweepRecord(
-                family=spec.family,
-                n_or_l=n,
-                r=spec.r,
-                param="",
-                property=prop,
-                estimate=e,
-                ci_halfwidth=binomial_ci_halfwidth(e, spec.trials),
-                trials=spec.trials,
-                seed_lo=lo,
-                seed_hi=hi,
-            )
-        )
-    return records
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean record cell")
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _uncell(column: str, text: str):
-    if column in ("r", "trials", "seed_lo", "seed_hi"):
-        return int(text)
-    if column in ("estimate", "ci_halfwidth"):
-        return float(text)
-    if column in ("n_or_l", "param"):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return text
-    return text
-
-
-def write_records(records, path, format: str = "csv") -> None:
-    """Persist sweep records; floats keep full repr precision so the file
-    round-trips exactly."""
-    def out(**kw):
-        if hasattr(path, "write"):
-            return nullcontext(path)
-        return open(path, "w", **kw)
-
-    try:
-        if format == "csv":
-            with out(newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_COLUMNS)
-                for rec in records:
-                    d = asdict(rec)
-                    writer.writerow([_cell(d[c]) for c in _COLUMNS])
-        elif format == "structured":
-            with out() as fh:
-                json.dump({"records": [asdict(r) for r in records]}, fh, indent=1)
-                fh.write("\n")
-        else:
-            raise ValueError("format must be 'csv' or 'structured'")
-    except OSError as exc:
-        raise OSError(f"cannot write records to {path}: {exc}") from exc
-
-
-def read_records(path, format: str = "csv"):
-    try:
-        if format == "csv":
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                return [
-                    SweepRecord(**{c: _uncell(c, row[c]) for c in _COLUMNS})
-                    for row in reader
-                ]
-        if format == "structured":
-            with open(path) as fh:
-                payload = json.load(fh)
-            return [SweepRecord(**d) for d in payload["records"]]
-        raise ValueError("format must be 'csv' or 'structured'")
-    except OSError as exc:
-        raise OSError(f"cannot read records from {path}: {exc}") from exc
+    return [_record(spec, n, "", prop, counts[prop]) for prop in spec.properties]
 
 
 def gnuplot_script(csv_path: str, properties) -> str:

@@ -27,6 +27,13 @@ def set_of(mask: int) -> frozenset:
     return frozenset(iter_bits(mask))
 
 
+def _node_mask(g: Graph, nodes, what: str) -> int:
+    # Range first: mask_of would allocate 1 << v bits for a far-off id v.
+    if not all(0 <= v < g.n for v in nodes):
+        raise ValueError(f"{what} contains nodes outside the graph")
+    return mask_of(nodes)
+
+
 class Graph:
     """Undirected simple graph on nodes 0..n-1.
 

@@ -13,8 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ResourceGuardError
-from .graph import Graph, iter_bits, mask_of
-from .robustness import TriPartition
+from .graph import Graph, _node_mask
+from .robustness import TriPartition, _reach
 
 # 2^t assignments; beyond this the brute-force satisfiability oracle refuses.
 NAE_VARIABLE_LIMIT = 24
@@ -288,20 +288,14 @@ def verify_cut(gg, cut: TriPartition, rho: int, relaxed: bool) -> bool:
     """Whether each node of A (resp. B) has at most rho neighbors outside A
     (resp. B). Accepts a GadgetGraph or a bare Graph."""
     g = gg.graph if isinstance(gg, GadgetGraph) else gg
+    am, bm, xm = (_node_mask(g, s, "cut") for s in (cut.set_a, cut.set_b, cut.set_x))
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    am = mask_of(cut.set_a)
-    bm = mask_of(cut.set_b)
-    xm = mask_of(cut.set_x)
     if (am | bm | xm) != g.full_mask():
         raise ValueError("cut does not cover all nodes")
     if relaxed and xm:
         raise ValueError("relaxed cut must have an empty X")
-    for mask in (am, bm):
-        for v in iter_bits(mask):
-            if (g.adj[v] & ~mask).bit_count() > rho:
-                return False
-    return True
+    return max(_reach(g.adj, am), _reach(g.adj, bm)) <= rho
 
 
 def assignment_from_cut(gg: GadgetGraph, cut: TriPartition) -> Assignment:

@@ -1,6 +1,6 @@
 """File formats: graphs (edge list / JSON), positions, NAE3SAT formulas,
-gadget role sidecars, simulation traces, and the JSON config files the CLI
-consumes."""
+gadget role sidecars, simulation traces, sweep records (CSV / JSON), and
+the JSON config files the CLI consumes."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
+from .experiments import SweepRecord, SweepSpec
 from .generators import GeometricPlacement, RngSeed
 from .graph import Graph
 from .hardness import CnfFormula, GadgetGraph, Role
-from .experiments import SweepSpec
 
 
 @contextmanager
@@ -43,13 +44,6 @@ def write_graph(g: Graph, path, format: str = "edgelist") -> None:
         raise ValueError("format must be 'edgelist' or 'json'")
 
 
-def _node_index(path, value, what: str) -> int:
-    # bool is an int subclass, but true/false is never a node index.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}: {what} must be an integer, got {value!r}")
-    return value
-
-
 def _graph_from_pairs(path, n, pairs) -> Graph:
     for u, v in pairs:
         if not u < v:
@@ -74,16 +68,16 @@ def read_graph(path) -> Graph:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
             raise ValueError(f"{path}: graph object needs exactly 'n' and 'edges'")
-        n = _node_index(path, payload["n"], "'n'")
-        edges = payload["edges"]
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges
-        ):
-            raise ValueError(f"{path}: 'edges' must be a list of [u, v] pairs")
-        pairs = [
-            (_node_index(path, u, "edge endpoint"), _node_index(path, v, "edge endpoint"))
-            for u, v in edges
-        ]
+        try:
+            n = _integer(payload["n"], "'n'")
+            edges = payload["edges"]
+            if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 for e in edges
+            ):
+                raise ValueError("'edges' must be a list of [u, v] pairs")
+            pairs = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint")) for u, v in edges]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         return _graph_from_pairs(path, n, pairs)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -136,35 +130,43 @@ def write_formula(phi: CnfFormula, path) -> None:
             fh.write(" ".join(str(v if pol else -v) for v, pol in clause) + "\n")
 
 
+def _integers(line: str, tokens: list) -> list:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"line {line!r} needs integers") from None
+
+
 def read_formula(path) -> CnfFormula:
+    """Malformed content raises ValueError with a message naming the path."""
     header = None
     clauses = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("c"):
-                continue
-            if ln.startswith("p"):
-                if header is not None:
-                    raise ValueError(f"{path}: duplicate header")
+    try:
+        with open(path) as fh:
+            for ln in fh:
+                ln = ln.strip()
+                if not ln or ln.startswith("c"):
+                    continue
                 parts = ln.split()
-                if len(parts) != 4 or parts[1] != "nae3sat":
-                    raise ValueError(f"{path}: header must be 'p nae3sat t m'")
-                header = (int(parts[2]), int(parts[3]))
-                continue
-            lits = []
-            for tok in ln.split():
-                a = int(tok)
-                if a == 0:
-                    raise ValueError(f"{path}: literal 0 is not allowed")
-                lits.append((abs(a), a > 0))
-            clauses.append(tuple(lits))
-    if header is None:
-        raise ValueError(f"{path}: missing 'p nae3sat t m' header")
-    t, m = header
-    if len(clauses) != m:
-        raise ValueError(f"{path}: header promises {m} clauses, file has {len(clauses)}")
-    return CnfFormula(t, tuple(clauses))
+                if ln.startswith("p"):
+                    if header is not None:
+                        raise ValueError("duplicate header")
+                    if len(parts) != 4 or parts[1] != "nae3sat":
+                        raise ValueError("header must be 'p nae3sat t m'")
+                    header = _integers(ln, parts[2:])
+                    continue
+                lits = _integers(ln, parts)
+                if 0 in lits:
+                    raise ValueError("literal 0 is not allowed")
+                clauses.append(tuple((abs(a), a > 0) for a in lits))
+        if header is None:
+            raise ValueError("missing 'p nae3sat t m' header")
+        t, m = header
+        if len(clauses) != m:
+            raise ValueError(f"header promises {m} clauses, file has {len(clauses)}")
+        return CnfFormula(t, tuple(clauses))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_roles(gg: GadgetGraph, path) -> None:
@@ -219,6 +221,85 @@ def write_cascade_trace(rows, path) -> None:
         writer.writerow(("round", "infected_count", "newly_infected"))
         for row in rows:
             writer.writerow(row)
+
+
+_COLUMNS = (
+    "family",
+    "n_or_l",
+    "r",
+    "param",
+    "property",
+    "estimate",
+    "ci_halfwidth",
+    "trials",
+    "seed_lo",
+    "seed_hi",
+    "flags",
+)
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        raise TypeError("boolean record cell")
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _uncell(column: str, text: str):
+    if column in ("r", "trials", "seed_lo", "seed_hi"):
+        return int(text)
+    if column in ("estimate", "ci_halfwidth"):
+        return float(text)
+    if column in ("n_or_l", "param"):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return text
+
+
+def write_records(records, path, format: str = "csv") -> None:
+    """Persist sweep records; floats keep full repr precision so the file
+    round-trips exactly."""
+    try:
+        if format == "csv":
+            with opened(path, newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(_COLUMNS)
+                for rec in records:
+                    d = asdict(rec)
+                    writer.writerow([_cell(d[c]) for c in _COLUMNS])
+        elif format == "structured":
+            with opened(path) as fh:
+                json.dump({"records": [asdict(r) for r in records]}, fh, indent=1)
+                fh.write("\n")
+        else:
+            raise ValueError("format must be 'csv' or 'structured'")
+    except OSError as exc:
+        raise OSError(f"cannot write records to {path}: {exc}") from exc
+
+
+def read_records(path, format: str = "csv"):
+    try:
+        if format == "csv":
+            with opened(path, "r", newline="") as fh:
+                reader = csv.DictReader(fh)
+                return [
+                    SweepRecord(**{c: _uncell(c, row[c]) for c in _COLUMNS})
+                    for row in reader
+                ]
+        if format == "structured":
+            with opened(path, "r") as fh:
+                payload = json.load(fh)
+            return [SweepRecord(**d) for d in payload["records"]]
+        raise ValueError("format must be 'csv' or 'structured'")
+    except OSError as exc:
+        raise OSError(f"cannot read records from {path}: {exc}") from exc
 
 
 def read_node_set(path) -> frozenset:
@@ -277,14 +358,14 @@ def read_consensus_config(path):
                     f"strategy {entry['strategy']} takes {arity} parameter(s)"
                 )
             params = [_real(p, "strategy parameter") for p in params]
-            adversaries[int(entry["node"])] = cls(*params)
+            adversaries[_integer(entry["node"], "adversary node")] = cls(*params)
         seed = payload.get("seed")
         if seed is not None:
-            seed = RngSeed(int(seed), int(payload.get("stream", 0)))
+            seed = RngSeed(_integer(seed, "seed"), _integer(payload.get("stream", 0), "stream"))
         config = ConsensusConfig(
-            f_parameter=int(payload["f_parameter"]),
+            f_parameter=_integer(payload["f_parameter"], "f_parameter"),
             filter_mode=payload.get("filter_mode", "strict"),
-            max_rounds=int(payload.get("max_rounds", 1000)),
+            max_rounds=_integer(payload.get("max_rounds", 1000), "max_rounds"),
             convergence_epsilon=_real(
                 payload.get("convergence_epsilon", 1e-6), "convergence_epsilon"
             ),
@@ -304,6 +385,15 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but true/false is never an integer field; a
+    # float is refused rather than truncated, and JSON's Infinity is spelled out.
+    if isinstance(value, bool) or not isinstance(value, int):
+        shown = repr(value).replace("inf", "infinity") if isinstance(value, float) else repr(value)
+        raise ValueError(f"{what} must be an integer, got {shown}")
+    return value
 
 
 def _sweep_offsets(family, offsets) -> tuple:
@@ -337,8 +427,8 @@ def read_sweep_spec(path) -> SweepSpec:
         family = payload["family"]
         if "n" in payload and "l" in payload:
             raise ValueError("give n or l, not both")
-        n_or_l = payload["n"] if "n" in payload else payload["l"]
-        seed = RngSeed(int(payload["seed"]), int(payload.get("stream", 0)))
+        n_or_l = _integer(payload["n"], "n") if "n" in payload else payload["l"]
+        seed = RngSeed(_integer(payload["seed"], "seed"), _integer(payload.get("stream", 0), "stream"))
         kwargs = {}
         if "offsets" in payload:
             kwargs["offsets"] = _sweep_offsets(family, payload["offsets"])
@@ -348,12 +438,12 @@ def read_sweep_spec(path) -> SweepSpec:
                 raise ValueError(f"'properties' must be a list of names, got {props!r}")
             kwargs["properties"] = tuple(props)
         if "exact_limit" in payload:
-            kwargs["exact_limit"] = int(payload["exact_limit"])
+            kwargs["exact_limit"] = _integer(payload["exact_limit"], "exact_limit")
         return SweepSpec(
             family=family,
             n_or_l=n_or_l,
-            r=int(payload["r"]),
-            trials=int(payload["trials"]),
+            r=_integer(payload["r"], "r"),
+            trials=_integer(payload["trials"], "trials"),
             base_seed=seed,
             **kwargs,
         )

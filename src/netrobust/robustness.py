@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceGuardError
-from .graph import Graph, component_masks, iter_bits, mask_of, min_degree, set_of
+from .graph import Graph, _node_mask, component_masks, iter_bits, min_degree, set_of
 
 # Advisory guard for the exponential cut search; callers may raise or lift it.
 DEFAULT_NODE_LIMIT = 25
@@ -51,16 +51,19 @@ class TriPartition:
 def _validate_set(g: Graph, s: frozenset) -> int:
     if not s:
         raise ValueError("empty set")
-    m = mask_of(s)
-    if m & ~g.full_mask():
-        raise ValueError("set contains nodes outside the graph")
-    return m
+    return _node_mask(g, s, "set")
+
+
+def _reach(adj: list, mask: int) -> int:
+    """The largest number of neighbors outside the nonempty mask that a node
+    of the mask has: the one recount behind reach_index, is_r_reachable and
+    the check of every cut witness (the finders' and verify_cut)."""
+    return max((adj[v] & ~mask).bit_count() for v in iter_bits(mask))
 
 
 def reach_index(g: Graph, s: frozenset) -> int:
     """Max over i in s of the number of i's neighbors outside s."""
-    m = _validate_set(g, s)
-    return max((g.adj[v] & ~m).bit_count() for v in iter_bits(m))
+    return _reach(g.adj, _validate_set(g, s))
 
 
 def is_r_reachable(g: Graph, s: frozenset, r: int) -> bool:
@@ -68,9 +71,7 @@ def is_r_reachable(g: Graph, s: frozenset, r: int) -> bool:
     if r < 0:
         raise ValueError("r must be nonnegative")
     m = _validate_set(g, s)
-    if r == 0:
-        return True
-    return any((g.adj[v] & ~m).bit_count() >= r for v in iter_bits(m))
+    return r == 0 or _reach(g.adj, m) >= r
 
 
 def _place(rules, rho: int, a: int, b: int, x: int, bit: int, side: int):
@@ -225,18 +226,6 @@ def _search_cut(g: Graph, rho: int, allow_x: bool):
     return None
 
 
-def _side_ok(g: Graph, side_mask: int, rho: int) -> bool:
-    return all((g.adj[v] & ~side_mask).bit_count() <= rho for v in iter_bits(side_mask))
-
-
-def _check_witness(g: Graph, a: int, b: int, rho: int) -> None:
-    # Independent recount of every witness the search hands back.
-    if not (a and b) or (a & b):
-        raise AssertionError("malformed cut witness")
-    if not (_side_ok(g, a, rho) and _side_ok(g, b, rho)):
-        raise AssertionError("cut witness fails outside-neighbor recount")
-
-
 def _guard(n: int, node_limit) -> None:
     """Refuse a cut search on n nodes before any of it runs."""
     if n < 2:
@@ -264,36 +253,33 @@ def _trivial_cut(g: Graph, rho: int):
     return None
 
 
-def find_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
-    """A rho-degree cut (A, B, X) of g, or None if none exists. Exact."""
+def _find_cut(g: Graph, rho: int, node_limit, allow_x: bool):
+    """The body of both finders; X stays empty unless allow_x."""
     _guard(g.n, node_limit)
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     found = _trivial_cut(g, rho)
     if found is None and rho > 0:
-        found = _search_cut(g, rho, allow_x=True)
+        found = _search_cut(g, rho, allow_x)
     if found is None:
         return None
     a, b, x = found
-    _check_witness(g, a, b, rho)
+    # Independent check of every witness the search hands back.
+    if not (a and b) or a & b or (x and not allow_x):
+        raise AssertionError("malformed cut witness")
+    if max(_reach(g.adj, a), _reach(g.adj, b)) > rho:
+        raise AssertionError("cut witness fails outside-neighbor recount")
     return TriPartition(set_of(a), set_of(b), set_of(x))
+
+
+def find_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
+    """A rho-degree cut (A, B, X) of g, or None if none exists. Exact."""
+    return _find_cut(g, rho, node_limit, allow_x=True)
 
 
 def find_relaxed_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
     """As find_degree_cut but X forced empty (a full bipartition)."""
-    _guard(g.n, node_limit)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    found = _trivial_cut(g, rho)
-    if found is None and rho > 0:
-        found = _search_cut(g, rho, allow_x=False)
-    if found is None:
-        return None
-    a, b, x = found
-    if x:
-        raise AssertionError("relaxed search produced nonempty X")
-    _check_witness(g, a, b, rho)
-    return TriPartition(set_of(a), set_of(b), frozenset())
+    return _find_cut(g, rho, node_limit, allow_x=False)
 
 
 def _bounds(g: Graph) -> tuple:

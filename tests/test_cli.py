@@ -10,11 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netrobust.cli import main
-from netrobust.experiments import read_records
 from netrobust.graph import complete, counterexample
-from netrobust.io import read_graph, read_positions, read_roles, write_graph
+from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
-from test_io import HOSTILE_CONSENSUS_CONFIGS
+from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS
 
 
 @pytest.fixture
@@ -128,12 +127,41 @@ def test_hostile_graph_file_is_a_plain_error(tmp_path, capsys, name, text):
     [
         ("er", {"family": "erdos_renyi", "n": 8, "offsets": [[1, 2]]}),
         ("geom", {"family": "geometric1d", "l": 6.0, "offsets": [1.5]}),
+        ("er", {"family": "erdos_renyi", "n": 8.5}),
+        ("ba", {"family": "preferential", "n": "10"}),
+        ("er", {"family": "erdos_renyi", "n": 8, "stream": 1.5}),
+        ("ba", {"family": "preferential", "n": 10, "exact_limit": 22.5}),
     ],
 )
 def test_hostile_sweep_spec_is_a_plain_error(tmp_path, capsys, tag, spec):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({**spec, "r": 2, "trials": 2, "seed": 0}))
     assert main(["sweep", tag, "--spec", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "tag, spec",
+    [
+        ("er", {"family": "erdos_renyi", "n": 8, "r": 2.5, "trials": 2, "seed": 0}),
+        ("er", {"family": "erdos_renyi", "n": 8, "r": 2, "trials": "3", "seed": 0}),
+        ("ba", {"family": "preferential", "n": 10, "r": 2, "trials": 2, "seed": 1.2}),
+    ],
+)
+def test_fractional_sweep_integers_are_a_plain_error(tmp_path, capsys, tag, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    assert main(["sweep", tag, "--spec", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_FORMULAS])
+def test_hostile_formula_is_a_plain_error(tmp_path, capsys, text):
+    p = tmp_path / "phi.cnf"
+    p.write_text(text)
+    assert main(["gadget", "--formula", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
@@ -346,4 +374,78 @@ def test_fuzzed_seed_set_exits_cleanly(tokens, threshold):
         write_graph(counterexample(8), graph)
         seeds.write_text(" ".join(map(str, tokens)), encoding="utf-8")
         argv = ["cascade", "--graph", str(graph), "--seed-set", str(seeds), "--threshold", str(threshold)]
+        assert _run_quietly(argv) in (0, 1, 2)
+
+
+# --- fuzzing the graph and formula commands ----------------------------------------
+
+# Integer tokens stay small, and the other tokens hold no digit, so that no
+# input asks for a large graph or a slow search.
+_SMALL_TOKEN = st.integers(-2, 11).map(str) | st.text("xpce.-+", min_size=1, max_size=3)
+_JSON_ID = st.integers(-2, 11) | st.sampled_from([1.5, "3", True, None, [], {}])
+
+
+@st.composite
+def _graph_texts(draw):
+    """Edge-list or JSON text for at most 10 nodes, valid about half the time."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    json_form = draw(st.booleans())
+    if draw(st.booleans()):
+        return json.dumps({"n": n, "edges": [list(e) for e in pairs]}) if json_form else "\n".join(
+            [f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs]
+        )
+    if json_form:
+        edges = draw(st.lists(st.lists(_JSON_ID, max_size=3), max_size=12))
+        return json.dumps({"n": draw(_JSON_ID), "edges": edges})
+    return "\n".join(" ".join(line) for line in draw(st.lists(st.lists(_SMALL_TOKEN, max_size=3), max_size=8)))
+
+
+def _run_on_graph_text(text, args) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "g.txt")
+        graph.write_text(text, encoding="utf-8")
+        return _run_quietly([args[0], str(graph), *args[1:]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_texts(), st.none() | st.integers(-1, 6))
+def test_fuzzed_robustness_graph_exits_cleanly(text, r):
+    args = ["robustness"] if r is None else ["robustness", "--r", str(r)]
+    assert _run_on_graph_text(text, args) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_texts(), st.integers(-1, 4), st.booleans())
+def test_fuzzed_cut_graph_exits_cleanly(text, rho, relaxed):
+    args = ["cut", "--rho", str(rho)] + (["--relaxed"] if relaxed else [])
+    assert _run_on_graph_text(text, args) in (0, 1, 2)
+
+
+_LITERAL = st.integers(1, 3).flatmap(lambda v: st.sampled_from([str(v), str(-v)]))
+_JUNK_LINE = st.lists(_SMALL_TOKEN, max_size=4).map(" ".join) | st.tuples(_SMALL_TOKEN, _SMALL_TOKEN).map(
+    lambda tm: "p nae3sat %s %s" % tm
+)
+
+
+@st.composite
+def _formula_texts(draw):
+    """A formula on 3 variables, or one with a random line put in or swapped in."""
+    clauses = draw(st.lists(st.lists(_LITERAL, min_size=3, max_size=3).map(" ".join), max_size=3))
+    lines = [f"p nae3sat 3 {len(clauses)}"] + clauses
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(_JUNK_LINE)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formula_texts(), st.sampled_from(["g", "h", "grho", "hrho"]), st.integers(0, 2))
+def test_fuzzed_formula_exits_cleanly(text, build, rho):
+    with tempfile.TemporaryDirectory() as tmp:
+        formula = Path(tmp, "phi.cnf")
+        formula.write_text(text, encoding="utf-8")
+        argv = ["gadget", "--formula", str(formula), "--build", build, "--rho", str(rho),
+                "--out", str(Path(tmp, "g.edges"))]
         assert _run_quietly(argv) in (0, 1, 2)

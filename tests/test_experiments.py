@@ -13,15 +13,14 @@ from netrobust.experiments import (
     binomial_ci_halfwidth,
     gnuplot_script,
     half_crossing,
-    read_records,
     run_ba_trials,
     run_er_sweep,
     run_geometric_sweep,
     threshold_p,
-    write_records,
 )
 from netrobust.generators import RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
 from netrobust.graph import min_degree
+from netrobust.io import read_records, write_records
 from netrobust.robustness import DEFAULT_NODE_LIMIT, SUBSET_ENUM_LIMIT
 
 

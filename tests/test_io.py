@@ -150,12 +150,32 @@ def test_formula_rejections(tmp_path):
         "count.cnf": ("p nae3sat 1 2\n1 1 1\n", "promises 2 clauses"),
         "range.cnf": ("p nae3sat 1 1\n1 2 1\n", "out of range"),
         "width.cnf": ("p nae3sat 2 1\n1 2\n", "exactly 3 literals"),
+        "token.cnf": ("p nae3sat 3 1\n1 x 3\n", "line '1 x 3' needs integers"),
+        "headtoken.cnf": ("p nae3sat three 1\n1 2 3\n", "line 'p nae3sat three 1' needs integers"),
     }
     for name, (text, message) in cases.items():
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_formula(p)
+
+
+HOSTILE_FORMULAS = [
+    ("p nae3sat 3 1\n1 x 3\n", "line '1 x 3' needs integers"),
+    ("p nae3sat three 1\n1 2 3\n", "line 'p nae3sat three 1' needs integers"),
+    ("p nae3sat 3 1\n1 2\n", "exactly 3 literals"),
+    ("p nae3sat 3 1\n1 -4 2\n", "variable index out of range"),
+    ("p nae3sat 0 0\n", "num_variables must be positive"),
+]
+
+
+@pytest.mark.parametrize("text, message", HOSTILE_FORMULAS)
+def test_formula_errors_name_the_path(tmp_path, text, message):
+    p = tmp_path / "phi.cnf"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        read_formula(p)
+    assert str(exc.value).startswith(f"{p}: ")
 
 
 # --- roles -------------------------------------------------------------------
@@ -298,6 +318,12 @@ HOSTILE_CONSENSUS_CONFIGS = [
     ('{"f_parameter": 1, "initial_values": [1, NaN]}', "initial value must be a finite real number"),
     ('{"f_parameter": 1, "initial_values": [1, 2], "max_rounds": Infinity}', "infinity"),
     ('{"f_parameter": 1, "initial_values": "12"}', "initial value must be a finite real number"),
+    ('{"f_parameter": 1.9, "initial_values": [1, 2]}', "f_parameter must be an integer, got 1.9"),
+    ('{"f_parameter": 1, "initial_values": [1, 2, 3], "adversaries": [{"node": 2.5, "strategy": "constant", '
+     '"params": [1]}]}', "adversary node must be an integer, got 2.5"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "max_rounds": 3.7}', "max_rounds must be an integer, got 3.7"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1.2}', "seed must be an integer, got 1.2"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1, "stream": "2"}', "stream must be an integer, got '2'"),
 ]
 
 
@@ -399,6 +425,17 @@ def test_sweep_spec_offsets_are_checked_per_family(tmp_path, family, offsets, me
         ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": Infinity, "seed": 1}', "infinity"),
         ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "offsets": [1%s]}' % ("0" * 400),
          "too large"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2.5, "trials": 3, "seed": 1}', "r must be an integer, got 2.5"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": "3", "seed": 1}', "trials must be an integer, got '3'"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1.2}', "seed must be an integer, got 1.2"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "stream": 0.5}',
+         "stream must be an integer, got 0.5"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "exact_limit": 22.5}',
+         "exact_limit must be an integer, got 22.5"),
+        ('{"family": "erdos_renyi", "n": 12.5, "r": 2, "trials": 3, "seed": 1}', "n must be an integer, got 12.5"),
+        ('{"family": "preferential", "n": "10", "r": 2, "trials": 3, "seed": 1}', "n must be an integer, got '10'"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": -Infinity, "seed": 1}',
+         "trials must be an integer, got -infinity"),
     ],
 )
 def test_sweep_spec_errors_name_the_path(tmp_path, text, message):

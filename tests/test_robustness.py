@@ -4,9 +4,11 @@ The enumeration oracle is the ground truth here; the branch-and-bound search
 must match it exactly on everything small enough to enumerate.
 """
 
+import importlib
 import logging
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +17,7 @@ from netrobust.connectivity import vertex_connectivity
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import RngSeed, gen_preferential
 from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, min_degree, path
+from netrobust.hardness import verify_cut
 from netrobust.robustness import (
     DEFAULT_NODE_LIMIT,
     TriPartition,
@@ -136,6 +139,30 @@ def test_is_r_reachable_threshold():
         is_r_reachable(complete(5), s, -1)
 
 
+def test_far_off_and_negative_ids_are_refused_before_any_mask():
+    # A mask of node id v holds v bits, 12.5 MB for 10**8; the peak shows it.
+    g = path(3)
+    tracemalloc.start()
+    try:
+        for ids in ({10**8}, {-1}, {0, 3}):
+            s = frozenset(ids)
+            far = s - {0, 1, 2}
+            with pytest.raises(ValueError, match="set contains nodes outside the graph"):
+                reach_index(g, s)
+            with pytest.raises(ValueError, match="set contains nodes outside the graph"):
+                is_r_reachable(g, s, 1)
+            for cut in (
+                TriPartition(frozenset({0}), frozenset({1, 2}), far),
+                TriPartition(frozenset({0}) | far, frozenset({1, 2}), frozenset()),
+            ):
+                with pytest.raises(ValueError, match="cut contains nodes outside the graph"):
+                    verify_cut(g, cut, 1, relaxed=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --- cut search ------------------------------------------------------------
 
 
@@ -187,6 +214,42 @@ def test_cut_search_rejects_bad_args():
         find_degree_cut(path(4), -1)
     with pytest.raises(ValueError, match="at least 2 nodes"):
         find_degree_cut(Graph(1), 1)
+
+
+# Two triangles {0, 1, 2} and {3, 4, 5} joined through node 6. Its minimum
+# degree is 2, so at rho = 1 no trivial cut answers and the search is asked.
+TWO_TRIANGLES = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 6), (3, 6)])
+
+
+def _masks(*sides):
+    return tuple(sum(1 << v for v in side) for side in sides)
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        _masks({3, 4, 5}, {3, 4, 5, 6}, {0, 1, 2}),  # A and B overlap, each side passes its recount
+        _masks({0, 1, 2, 3, 4, 5}, set(), {6}),  # B empty
+        _masks(set(), {0, 1, 2, 3, 4, 5}, {6}),  # A empty
+        _masks({0}, {1, 2, 3, 4, 5, 6}, set()),  # node 0 has 2 > rho outside neighbors
+        _masks({0, 1}, {2, 3, 4, 5, 6}, set()),  # node 2, in B, has 2 > rho outside neighbors
+    ],
+)
+def test_both_finders_refuse_a_bad_witness(monkeypatch, found):
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda g, rho, allow_x: found)
+    with pytest.raises(AssertionError):
+        find_degree_cut(TWO_TRIANGLES, 1)
+    with pytest.raises(AssertionError):
+        find_relaxed_degree_cut(TWO_TRIANGLES, 1)
+
+
+def test_relaxed_finder_refuses_a_witness_with_x(monkeypatch):
+    found = _masks({0, 1, 2}, {3, 4, 5}, {6})  # a valid 1-cut once X may be nonempty
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda g, rho, allow_x: found)
+    cut = find_degree_cut(TWO_TRIANGLES, 1)
+    assert cut == TriPartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6}))
+    with pytest.raises(AssertionError):
+        find_relaxed_degree_cut(TWO_TRIANGLES, 1)
 
 
 # --- robustness decisions ---------------------------------------------------
