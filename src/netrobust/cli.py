@@ -15,7 +15,7 @@ import sys
 from . import io as nio
 from .dynamics import cascade_trace, run_consensus
 from .errors import ResourceGuardError
-from .experiments import gnuplot_script, run_ba_trials, run_er_sweep, run_geometric_sweep
+from .experiments import _FAMILIES, gnuplot_script
 from .generators import RngSeed, gen_erdos_renyi, gen_geometric, gen_preferential
 from .hardness import build_g_phi, build_g_rho_phi, build_h_phi, build_h_rho_phi
 from .robustness import (
@@ -77,11 +77,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_FAMILY_TAGS = {
-    "er": ("erdos_renyi", run_er_sweep),
-    "geom": ("geometric1d", run_geometric_sweep),
-    "ba": ("preferential", run_ba_trials),
-}
+_FAMILY_TAGS = {tag: (family, runner) for family, (tag, runner) in _FAMILIES.items()}
 
 
 def _cmd_sweep(args) -> int:
@@ -190,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sweep", parents=[seeded], help="run a Monte-Carlo sweep from a spec file")
-    p.add_argument("family", choices=("er", "geom", "ba"))
+    p.add_argument("family", choices=tuple(_FAMILY_TAGS))
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "structured"), default="csv")
@@ -231,7 +227,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 1
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import Graph, component_masks, is_connected, iter_bits, min_degree
+from .graph import Graph, is_connected, iter_bits, min_degree
 
 
 class _SplitFlow:
@@ -136,41 +136,41 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def _has_articulation_point(g: Graph) -> bool:
-    """Iterative Tarjan lowpoint scan; assumes g is connected, n >= 3."""
-    n = g.n
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    it_stack: list[tuple[int, int, int]] = [(0, -1, 0)]
-    nbrs = [list(iter_bits(row)) for row in g.adj]
-    root_children = 0
-    while it_stack:
-        v, parent, i = it_stack.pop()
-        if i == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        advanced = False
-        while i < len(nbrs[v]):
-            w = nbrs[v][i]
-            i += 1
-            if w == parent:
-                continue
-            if disc[w]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-                continue
-            it_stack.append((v, parent, i))
-            it_stack.append((w, v, 0))
-            if v == 0:
-                root_children += 1
-            advanced = True
-            break
-        if not advanced and parent != -1:
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-            if parent != 0 and low[v] >= disc[parent]:
+    """Depth-first lowpoint scan on the bit rows; assumes g is connected,
+    n >= 3.
+
+    The next child of v is the lowest bit of adj[v] & ~visited. An
+    undirected DFS has no cross edges (a finished node would have reached
+    every unvisited neighbour itself), so a subtree's lowpoint lies above
+    its parent p iff the union of its rows meets the path above p. A
+    non-root p is a cut vertex iff some child's subtree fails that test; the
+    root is one iff it has a second child. Every step is a few bitmask
+    operations; no neighbour is visited one at a time.
+    """
+    adj = g.adj
+    visited = 1
+    path = [0]
+    upto = [1]  # upto[i]: mask of path[0..i]
+    reach = [adj[0]]  # reach[i]: rows of path[i] and its finished descendants
+    while path:
+        fresh = adj[path[-1]] & ~visited
+        if fresh:
+            if len(path) == 1 and visited != 1:
+                return True  # a second root child, which the first one's subtree missed
+            bit = fresh & -fresh
+            visited |= bit
+            path.append(bit.bit_length() - 1)
+            upto.append(upto[-1] | bit)
+            reach.append(adj[path[-1]])
+            continue
+        path.pop()
+        upto.pop()
+        below = reach.pop()
+        if len(path) >= 2:
+            if not below & upto[-2]:
                 return True
-    return root_children >= 2
+            reach[-1] |= below
+    return False
 
 
 def connectivity_at_least(g: Graph, k: int) -> bool:

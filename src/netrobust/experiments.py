@@ -32,9 +32,6 @@ from .robustness import (
 # Exact robustness is a branch-and-bound search; sweeps refuse larger n.
 ER_EXACT_LIMIT = 22
 
-_FAMILIES = ("erdos_renyi", "geometric1d", "preferential")
-
-
 def threshold_p(n: int, r: int) -> float:
     """(ln n + (r-1) ln ln n) / n, the sharp-threshold scale for minimum
     degree r, r-connectivity, and r-robustness alike."""
@@ -91,8 +88,9 @@ class SweepSpec:
     exact_limit: int = ER_EXACT_LIMIT
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
+        families = tuple(_FAMILIES)  # a tuple: an unhashable family is refused, not a TypeError
+        if self.family not in families:
+            raise ValueError(f"family must be one of {families}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.r < 1:
@@ -298,6 +296,14 @@ def run_ba_trials(spec: SweepSpec):
             if _evaluate(prop, g, spec.r):
                 counts[prop] += 1
     return [_record(spec, n, "", prop, counts[prop]) for prop in spec.properties]
+
+
+# The one table of sweep families: spec family -> (CLI tag, runner).
+_FAMILIES = {
+    "erdos_renyi": ("er", run_er_sweep),
+    "geometric1d": ("geom", run_geometric_sweep),
+    "preferential": ("ba", run_ba_trials),
+}
 
 
 def gnuplot_script(csv_path: str, properties) -> str:

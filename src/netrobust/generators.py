@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, complete
+from .graph import Graph, _from_rows, complete
 from .robustness import is_r_robust
 
 
@@ -60,9 +60,22 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graph_from_pair_mask(n: int, mask: np.ndarray) -> Graph:
+    """The graph on the pairs that mask selects, in pair_indices(n) order.
+
+    Both directions of every edge are ORed into one packed buffer of
+    n * ceil(n/8) bytes, node u's row being bytes u*width .. (u+1)*width - 1
+    in little-endian bit order; each row then becomes one int.
+    """
     iu, ju = pair_indices(n)
-    sel = np.nonzero(mask)[0]
-    return Graph(n, zip(iu[sel].tolist(), ju[sel].tolist()))
+    sel = np.flatnonzero(mask)
+    src = np.concatenate((iu[sel], ju[sel]))
+    dst = np.concatenate((ju[sel], iu[sel]))
+    width = max(1, (n + 7) // 8)  # a nonzero step for the slicing below, also at n = 0
+    packed = np.zeros(n * width, np.uint8)
+    np.bitwise_or.at(packed, src * width + dst // 8, (1 << dst % 8).astype(np.uint8))
+    buf = packed.tobytes()
+    rows = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return _from_rows(n, rows)
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:

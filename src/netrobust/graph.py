@@ -39,8 +39,13 @@ class Graph:
 
     Adjacency is one Python int bitmask per node, so membership tests and
     outside-neighbor counts are constant-time popcounts. Instances are
-    treated as immutable once built; self-loops and duplicate edges are
-    rejected at construction.
+    treated as immutable once built.
+
+    There are two ways to build one. ``Graph(n, edges)`` is the checked path
+    for edges from files and users: it rejects out-of-range ends, self-loops
+    and duplicate edges one edge at a time. ``_from_rows(n, rows)`` is the
+    trusted path for the library's own generators, whose rows are symmetric
+    and loop-free by construction; it runs no per-edge checks.
     """
 
     __slots__ = ("n", "adj", "_cache")
@@ -89,28 +94,39 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
+def _from_rows(n: int, rows: list) -> Graph:
+    """The graph with these adjacency rows, which must be n symmetric,
+    loop-free bitmasks; nothing is checked."""
+    g = Graph(n)
+    g.adj = rows
+    return g
+
+
+def _component(g: Graph, v: int) -> int:
+    """Bitmask of the connected component holding v, by one frontier BFS."""
+    visited = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & ~visited
+        visited |= frontier
+    return visited
+
+
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitmasks, ordered by smallest member."""
     seen = 0
     out = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        visited = 1 << v
-        frontier = visited
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~visited
-            visited |= frontier
-        out.append(visited)
-        seen |= visited
+        if not seen >> v & 1:
+            out.append(_component(g, v))
+            seen |= out[-1]
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(component_masks(g)) == 1
+    return g.n <= 1 or _component(g, 0) == g.full_mask()
 
 
 def min_degree(g: Graph) -> int:

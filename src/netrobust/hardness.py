@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ResourceGuardError
-from .graph import Graph, _node_mask
+from .graph import Graph, _from_rows, _node_mask, mask_of
 from .robustness import TriPartition, _reach
 
 # 2^t assignments; beyond this the brute-force satisfiability oracle refuses.
@@ -208,10 +208,16 @@ def _assemble(phi: CnfFormula, rho: int, copies: int) -> GadgetGraph:
     base = 0
     for _ in range(copies):
         base = _append_core(phi, rho, base, roles, edges, tb_members, fb_members)
+    rows = [0] * base
     for members in (tb_members, fb_members):
-        edges.extend(itertools.combinations(sorted(members), 2))
+        block = mask_of(members)
+        for v in members:
+            rows[v] |= block ^ (1 << v)
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return GadgetGraph(
-        graph=Graph(base, edges),
+        graph=_from_rows(base, rows),
         roles=tuple(roles),
         formula=phi,
         rho=rho,

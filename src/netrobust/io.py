@@ -427,10 +427,10 @@ def read_sweep_spec(path) -> SweepSpec:
         family = payload["family"]
         if "n" in payload and "l" in payload:
             raise ValueError("give n or l, not both")
-        n_or_l = _integer(payload["n"], "n") if "n" in payload else payload["l"]
+        n_or_l = _integer(payload["n"], "n") if "n" in payload else _real(payload["l"], "l")
         seed = RngSeed(_integer(payload["seed"], "seed"), _integer(payload.get("stream", 0), "stream"))
         kwargs = {}
-        if "offsets" in payload:
+        if "offsets" in payload or family == "geometric1d":  # the default offsets are not (k, radius) pairs
             kwargs["offsets"] = _sweep_offsets(family, payload["offsets"])
         if "properties" in payload:
             props = payload["properties"]

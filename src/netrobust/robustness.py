@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceGuardError
-from .graph import Graph, _node_mask, component_masks, iter_bits, min_degree, set_of
+from .graph import Graph, _component, _node_mask, is_connected, iter_bits, min_degree, set_of
 
 # Advisory guard for the exponential cut search; callers may raise or lift it.
 DEFAULT_NODE_LIMIT = 25
@@ -238,12 +238,11 @@ def _guard(n: int, node_limit) -> None:
 
 
 def _trivial_cut(g: Graph, rho: int):
-    """Cheap witnesses: component splits (rho >= 0) and min-degree singletons."""
-    comps = component_masks(g)
-    if len(comps) > 1:
-        a = comps[0]
-        b = g.full_mask() & ~a
-        return a, b, 0
+    """Cheap witnesses: node 0's component against the rest (rho >= 0) and
+    min-degree singletons."""
+    a = _component(g, 0)
+    if a != g.full_mask():
+        return a, g.full_mask() & ~a, 0
     if rho >= 1:
         v = min(range(g.n), key=g.degree)
         if g.degree(v) <= rho:
@@ -338,7 +337,7 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return True
-    if len(component_masks(g)) > 1:
+    if not is_connected(g):
         return False
     if r == 1:
         return True  # connected, and 1-robust iff connected
@@ -363,7 +362,7 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     """
     if g.n < 2:
         raise ValueError("robustness needs at least 2 nodes")
-    if len(component_masks(g)) > 1:
+    if not is_connected(g):
         _log.debug("robustness 0: disconnected")
         return 0
     _guard(g.n, node_limit)

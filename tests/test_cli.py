@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
 from netrobust.graph import complete, counterexample
@@ -449,3 +449,129 @@ def test_fuzzed_formula_exits_cleanly(text, build, rho):
         argv = ["gadget", "--formula", str(formula), "--build", build, "--rho", str(rho),
                 "--out", str(Path(tmp, "g.edges"))]
         assert _run_quietly(argv) in (0, 1, 2)
+
+
+# --- fuzzing the generator and sweep commands ---------------------------------------
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, or argparse's when it refuses the command line."""
+    try:
+        return _run_quietly(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Numbers as the shell would pass them, plus tokens no parser accepts.
+_FLOAT_ARG = st.floats(-2, 3).map(repr) | st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "x", ""])
+_INT_ARG = st.integers(-3, 40).map(str) | st.sampled_from(["1.5", "x", "", str(2**64)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["er", "geom", "ba"]),
+    st.fixed_dictionaries({}, optional={
+        "--n": _INT_ARG,
+        "--p": _FLOAT_ARG,
+        "--radius": _FLOAT_ARG,
+        "--side": _FLOAT_ARG,
+        "--dim": st.integers(-1, 3).map(str),
+        "--r": st.integers(-1, 6).map(str),
+        "--seed": _INT_ARG,
+        "--stream": _INT_ARG,
+        "--format": st.sampled_from(["edgelist", "json"]),
+    }),
+)
+@example("ba", {"--n": str(2**64), "--r": "1"})  # overflows the degree list
+def test_fuzzed_gen_exits_cleanly(family, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["gen", family, "--out", str(Path(tmp, "g.out")), "--positions-out", str(Path(tmp, "pos.csv"))]
+        for flag, value in options.items():
+            argv.append(f"{flag}={value}")
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+_SWEEP_FAMILIES = {"er": "erdos_renyi", "geom": "geometric1d", "ba": "preferential"}
+_REAL_OFFSETS = st.lists(st.floats(-8, 8), max_size=4)
+_POINT_OFFSETS = st.lists(st.lists(st.floats(-1, 3), min_size=2, max_size=2), max_size=3)
+# at most 40 nodes, so that no draw allocates a large pair-uniform array
+_SIZE_N = st.integers(-1, 40)
+_SIZE_L = st.floats(-1, 4) | st.sampled_from([float("inf"), float("nan")])
+
+
+def _optional_spec_fields(field):
+    return {
+        "stream": field(st.integers(0, 5)),
+        "properties": field(st.lists(
+            st.sampled_from(["min_degree_r", "r_connected", "r_robust", "s_property:1", "s_property:3", "bogus"]),
+            max_size=3,
+        )),
+        "exact_limit": field(st.integers(-1, 40)),
+    }
+
+
+@st.composite
+def _valid_specs(draw):
+    """A spec with every required field, sized and shaped for its family."""
+    family = draw(st.sampled_from(sorted(_SWEEP_FAMILIES.values())))
+    payload = {
+        "family": family,
+        "r": draw(st.integers(1, 4)),
+        "trials": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 5)),
+    }
+    geometric = family == "geometric1d"
+    payload["l" if geometric else "n"] = draw(_SIZE_L if geometric else _SIZE_N)
+    fields = _optional_spec_fields(lambda valid: valid)
+    fields["offsets"] = _POINT_OFFSETS if geometric else _REAL_OFFSETS
+    payload.update(draw(st.fixed_dictionaries({}, optional=fields)))
+    return payload
+
+
+# Hostile values that are no usable size: an arbitrary JSON number could ask
+# for a huge graph, trial count or node limit.
+_NOT_A_SIZE = st.none() | st.booleans() | st.text(max_size=8) | st.lists(st.none(), max_size=2) | st.sampled_from(
+    [1.5, -0.0, float("inf"), float("nan"), "3", {}]
+)
+
+
+def _hostile_specs():
+    def field(valid):
+        return valid | _NOT_A_SIZE
+
+    fields = _optional_spec_fields(field)
+    fields.update({
+        "family": field(st.sampled_from(sorted(_SWEEP_FAMILIES.values()))),
+        "n": field(_SIZE_N),
+        "l": field(_SIZE_L),
+        "r": field(st.integers(-1, 4)),
+        "trials": field(st.integers(-1, 3)),
+        "seed": field(st.integers(-1, 5)),
+        "offsets": field(_REAL_OFFSETS | _POINT_OFFSETS),
+    })
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+# a spec that names each required field, one whose every field may be hostile, or
+# any JSON value (whose strings are too short to name a family)
+_SPECS = _valid_specs() | _hostile_specs() | _JSON
+
+
+_GEOMETRIC = {"family": "geometric1d", "l": 6.0, "r": 1, "trials": 1, "seed": 0}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_SPECS, st.sampled_from(sorted(_SWEEP_FAMILIES)), st.integers(0, 3), st.none() | st.integers(0, 5))
+@example(_GEOMETRIC, "geom", 1, None)  # no offsets: the default ones are not (k, radius) pairs
+@example({**_GEOMETRIC, "l": float("inf"), "offsets": [[1.0, 1.0]]}, "geom", 1, None)
+def test_fuzzed_sweep_spec_exits_cleanly(payload, tag, own_tag, seed):
+    # the subcommand of the spec's own family three times in four
+    if own_tag and isinstance(payload, dict):
+        tag = next((t for t, family in _SWEEP_FAMILIES.items() if family == payload.get("family")), tag)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp, "spec.json")
+        spec.write_text(json.dumps(payload))
+        argv = ["sweep", tag, "--spec", str(spec), "--out", str(Path(tmp, "r.csv"))]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert _exit_code(argv) in (0, 1, 2)

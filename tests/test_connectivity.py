@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netrobust.connectivity import _SplitFlow, connectivity_at_least, vertex_connectivity
+from netrobust.connectivity import _has_articulation_point, _SplitFlow, connectivity_at_least, vertex_connectivity
 from netrobust.generators import gen_erdos_renyi
 from netrobust.graph import (
     Graph,
@@ -90,6 +90,70 @@ def test_matches_brute_force_on_seeded_batch():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         assert vertex_connectivity(g) == brute_connectivity(g), (n, edges)
+
+
+def has_cut_vertex(g: Graph) -> bool:
+    """Vertex-deletion oracle: some G - v is disconnected."""
+    for v in range(g.n):
+        keep = [u for u in range(g.n) if u != v]
+        relabel = {u: i for i, u in enumerate(keep)}
+        sub = Graph(g.n - 1, [(relabel[a], relabel[b]) for a, b in g.edges() if v not in (a, b)])
+        if not is_connected(sub):
+            return True
+    return False
+
+
+def two_cycles_sharing_a_node() -> Graph:
+    # cycles 0-1-2-3 and 3-4-5-6 meet at node 3
+    ring = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6)]
+    return Graph(7, ring)
+
+
+def cliques_joined_by_a_bridge(k: int) -> Graph:
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u + k, v + k) for u, v in edges]
+    return Graph(2 * k, edges + [(k - 1, k)])
+
+
+@pytest.mark.parametrize(
+    "g,cut_vertex",
+    [
+        (path(3), True),
+        (path(9), True),
+        (cycle(3), False),
+        (cycle(12), False),
+        (with_added_node(Graph(5), frozenset(range(5))), True),  # star, centre last
+        (Graph(6, [(0, v) for v in range(1, 6)]), True),  # star whose centre is the DFS root
+        (two_cycles_sharing_a_node(), True),
+        (cliques_joined_by_a_bridge(4), True),
+        (complete(5), False),
+        (counterexample(4), False),
+        (counterexample(10), False),
+        (petersen(), False),
+    ],
+)
+def test_articulation_scan_on_fixed_shapes(g, cut_vertex):
+    assert has_cut_vertex(g) == cut_vertex
+    assert _has_articulation_point(g) == cut_vertex
+
+
+def test_articulation_scan_matches_vertex_deletion():
+    # 600 connected graphs with n = 3..40: a random spanning tree plus a
+    # random number of extra edges, so both verdicts are common
+    rng = random.Random(6)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(3, 40)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        order = rng.sample(range(n), n)
+        edges = {tuple(sorted((order[u], order[v]))) for u, v in edges}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(n, sorted(edges))
+        verdicts.append(has_cut_vertex(g))
+        assert _has_articulation_point(g) == verdicts[-1], (n, sorted(edges))
+    assert 100 < sum(verdicts) < 500
 
 
 @st.composite

@@ -15,6 +15,7 @@ from netrobust.generators import (
     gen_preferential,
     graph_from_pair_mask,
     graph_from_placement,
+    pair_indices,
     pair_uniforms,
     rng_for,
 )
@@ -88,6 +89,16 @@ def test_pair_uniforms_coupling():
     sparse = graph_from_pair_mask(10, u < 0.2)
     dense = graph_from_pair_mask(10, u < 0.6)
     assert set(sparse.edges()) <= set(dense.edges())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65, 200, 1000])
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+def test_pair_mask_rows_equal_the_checked_edge_build(n, p):
+    # n straddles byte and word boundaries of the packed rows
+    mask = pair_uniforms(n, rng_for(RngSeed(n, 7))) < p
+    iu, ju = pair_indices(n)
+    sel = np.flatnonzero(mask)
+    assert graph_from_pair_mask(n, mask) == Graph(n, zip(iu[sel].tolist(), ju[sel].tolist()))
 
 
 # --- geometric ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from netrobust.hardness import (
     Assignment,
     CnfFormula,
     GadgetGraph,
+    _append_core,
     assignment_from_cut,
     build_g_phi,
     build_g_rho_phi,
@@ -26,7 +27,7 @@ from netrobust.hardness import (
     nae_check,
     verify_cut,
 )
-from netrobust.graph import complete
+from netrobust.graph import Graph, complete
 from netrobust.robustness import TriPartition, find_relaxed_degree_cut
 
 PHI = CnfFormula(3, (((1, False), (2, True), (3, True)),))
@@ -183,6 +184,34 @@ def test_h_rho_copy_count():
     hrho = build_h_rho_phi(PHI, 2)
     assert hrho.copies == 5
     assert hrho.graph.n == 5 * g_rho_nodes(PHI.num_clauses, PHI.num_variables, 2)
+
+
+def _edge_list_assembly(phi, rho, copies):
+    """The reference: every edge, block cliques included, through the
+    checked Graph(n, edges) constructor."""
+    roles, edges, tb_members, fb_members = [], [], [], []
+    base = 0
+    for _ in range(copies):
+        base = _append_core(phi, rho, base, roles, edges, tb_members, fb_members)
+    for members in (tb_members, fb_members):
+        edges.extend(itertools.combinations(sorted(members), 2))
+    return Graph(base, edges)
+
+
+@pytest.mark.parametrize("t,m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_row_assembly_equals_the_edge_list_assembly(t, m):
+    # Every formula under the single-copy builders and the three-copy build.
+    # The 2*rho + 1 copies of hrho at rho = 2, 3 cost the reference up to
+    # 270,000 checked edges a formula, so they run on every 30th formula;
+    # the copies repeat the single-copy core that every formula checks.
+    for i, phi in enumerate(enumerate_nae3sat(t, m)):
+        builds = [(build_g_phi(phi), 1, 1), (build_h_phi(phi), 1, 3)]
+        builds += [(build_g_rho_phi(phi, rho), rho, 1) for rho in (1, 2, 3)]
+        builds.append((build_h_rho_phi(phi, 1), 1, 3))
+        if i % 30 == 0:
+            builds += [(build_h_rho_phi(phi, rho), rho, 2 * rho + 1) for rho in (2, 3)]
+        for gg, rho, copies in builds:
+            assert gg.graph == _edge_list_assembly(phi, rho, copies), (phi, rho, copies)
 
 
 # --- cuts ------------------------------------------------------------------------

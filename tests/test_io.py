@@ -436,6 +436,11 @@ def test_sweep_spec_offsets_are_checked_per_family(tmp_path, family, offsets, me
         ('{"family": "preferential", "n": "10", "r": 2, "trials": 3, "seed": 1}', "n must be an integer, got '10'"),
         ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": -Infinity, "seed": 1}',
          "trials must be an integer, got -infinity"),
+        ('{"family": "geometric1d", "l": Infinity, "r": 2, "trials": 3, "seed": 1, "offsets": [[1, 1]]}',
+         "l must be a finite real number, got inf"),
+        ('{"family": "geometric1d", "l": "6", "r": 2, "trials": 3, "seed": 1, "offsets": [[1, 1]]}',
+         "l must be a finite real number, got '6'"),
+        ('{"family": "geometric1d", "l": 6.0, "r": 2, "trials": 3, "seed": 1}', "missing spec key 'offsets'"),
     ],
 )
 def test_sweep_spec_errors_name_the_path(tmp_path, text, message):

@@ -252,6 +252,23 @@ def test_relaxed_finder_refuses_a_witness_with_x(monkeypatch):
         find_relaxed_degree_cut(TWO_TRIANGLES, 1)
 
 
+def test_disconnected_graphs_are_decided_without_listing_components(monkeypatch):
+    # Listing every component is quadratic on large sparse graphs; one BFS
+    # from node 0 decides connectivity and gives the component witness.
+    def refuse(g):
+        raise AssertionError("component_masks called")
+
+    for name in ("netrobust.graph", "netrobust.robustness"):
+        monkeypatch.setattr(importlib.import_module(name), "component_masks", refuse, raising=False)
+    g = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    assert robustness(g) == 0
+    assert not is_r_robust(g, 1)
+    assert not is_r_robust(g, 3)
+    split = TriPartition(frozenset({0, 1}), frozenset({2, 3, 4, 5}), frozenset())
+    assert find_degree_cut(g, 0) == split
+    assert find_relaxed_degree_cut(g, 0) == split
+
+
 # --- robustness decisions ---------------------------------------------------
 
 
