@@ -87,6 +87,7 @@ class _SplitFlow:
             for u, w in removed:
                 res[u] |= 1 << w
                 del succ[u], pred[w]
+                busy &= ~(1 << w)
             for u, w in added:
                 res[u] &= ~(1 << w)
                 touched.append(u)
@@ -94,7 +95,7 @@ class _SplitFlow:
                     succ[u] = w
                 if w != t:
                     pred[w] = u
-            busy = sum(1 << v for v in pred)
+                    busy |= 1 << w
             flow += 1
         for v in touched:
             res[v] = adj[v]

@@ -16,6 +16,10 @@ from .generators import GeometricPlacement, RngSeed
 from .graph import Graph
 from .hardness import CnfFormula, GadgetGraph, Role
 
+# Largest node count read_graph accepts: the graph holds one row per node,
+# so a header's count is refused above this before any row is allocated.
+GRAPH_NODE_LIMIT = 10**7
+
 
 @contextmanager
 def opened(path, mode: str = "w", **kw):
@@ -45,6 +49,8 @@ def write_graph(g: Graph, path, format: str = "edgelist") -> None:
 
 
 def _graph_from_pairs(path, n, pairs) -> Graph:
+    if n > GRAPH_NODE_LIMIT:
+        raise ValueError(f"{path}: {n} nodes exceed the guard GRAPH_NODE_LIMIT = {GRAPH_NODE_LIMIT}")
     for u, v in pairs:
         if not u < v:
             raise ValueError(f"{path}: edge ({u}, {v}) not in canonical u < v order")

@@ -184,19 +184,40 @@ def _tie_classes(adj: list, rho: int):
     return tie, near
 
 
+def _core(adj: list, mask: int, rho: int) -> int:
+    """The largest rho-closed subset of mask: every node of it has at most
+    rho neighbors outside it. Closed sets are closed under union, so this is
+    well defined; it is found by peeling nodes with more than rho outside
+    neighbors, re-checking only the neighbors of each node peeled."""
+    core = todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        if (adj[v] & ~core).bit_count() > rho:
+            core ^= low
+            todo |= adj[v] & core
+    return core
+
+
 def _search_cut(g: Graph, rho: int, allow_x: bool):
     """Exhaustive branch-and-bound over {A, B, X} labelings.
 
     Static descending-degree order; the first non-X node is forced into A to
     break the A/B swap symmetry. Strong pairs (_strong_pairs) never sit on
     opposite sides: with X allowed that is checked on placement; with X
-    empty each strong-pair component is placed as one block. Depth-first
-    over an explicit stack of pending placements, so the depth of the search
-    is not bounded by the interpreter's recursion limit. Returns
-    (a_mask, b_mask, x_mask) or None.
+    empty each strong-pair component is placed as one block. A rho-cut is
+    two disjoint nonempty rho-closed sets (see _core), and the final B is
+    one that avoids a | x, so once A is started a branch is dropped unless
+    the core of the complement of a | x is nonempty and holds b. That prune
+    drops only branches without a cut and keeps the search order, so it
+    changes no witness. Depth-first over an explicit stack of pending
+    placements, so the depth of the search is not bounded by the
+    interpreter's recursion limit. Returns (a_mask, b_mask, x_mask) or None.
     """
     n = g.n
     adj = g.adj
+    full = g.full_mask()
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     if allow_x:
         rules = (adj, [1 << v for v in range(n)], adj, _strong_pairs(adj, rho))
@@ -221,6 +242,10 @@ def _search_cut(g: Graph, rho: int, allow_x: bool):
             if a and b:
                 return a, b, x
             continue
+        if a:
+            room = _core(adj, full & ~(a | x), rho)
+            if not room or b & ~room:
+                continue
         for side in rest if a else first:
             stack.append((a, b, x, idx, side))
     return None

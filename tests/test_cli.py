@@ -13,7 +13,7 @@ from netrobust.cli import main
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
-from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS
+from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS, HUGE_GRAPHS
 
 
 @pytest.fixture
@@ -120,6 +120,24 @@ def test_hostile_graph_file_is_a_plain_error(tmp_path, capsys, name, text):
     assert main(["robustness", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["robustness", "cut"])
+@pytest.mark.parametrize("name", sorted(HUGE_GRAPHS))
+def test_huge_node_count_is_a_plain_error(tmp_path, capsys, command, name):
+    p = tmp_path / name
+    p.write_text(HUGE_GRAPHS[name])
+    args = [command, str(p)] + (["--rho", "1"] if command == "cut" else [])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "GRAPH_NODE_LIMIT" in err and "Traceback" not in err
+
+
+def test_large_edgeless_graph_under_the_guard_is_decided(tmp_path, capsys):
+    p = tmp_path / "wide.edges"
+    p.write_text("200000 0\n")
+    assert main(["robustness", str(p)]) == 0
+    assert capsys.readouterr().out == "robustness: 0\n"
 
 
 @pytest.mark.parametrize(

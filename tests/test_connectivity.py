@@ -272,6 +272,24 @@ def scipy_connectivity(g: Graph) -> int:
     return best
 
 
+# An augmenting path that walks back through a node on both of its flow
+# edges takes all flow off that node, which must then leave the busy mask.
+# Found by random search: keeping it busy ends this graph's flow from 7 to
+# 15 in a KeyError.
+FREED_NODE_GRAPH = (16, [(0, 7), (0, 8), (1, 4), (1, 7), (2, 9), (2, 13), (3, 13), (3, 15), (4, 11), (5, 6),
+                         (5, 7), (5, 9), (6, 10), (7, 14), (8, 10), (9, 12), (10, 15), (11, 14), (11, 15), (12, 14)])
+
+
+def test_split_flow_after_a_node_loses_its_flow():
+    g = Graph(*FREED_NODE_GRAPH)
+    assert _SplitFlow(g).max_flow(7, 15, g.n) == 3 == brute_local_connectivity(g, 7, 15)
+    net = _SplitFlow(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v and not g.has_edge(u, v):
+                assert net.max_flow(u, v, g.n) == brute_local_connectivity(g, u, v), (u, v)
+
+
 def test_vertex_connectivity_matches_scipy_max_flow():
     pytest.importorskip("scipy")
     from scipy.sparse.csgraph import maximum_flow

@@ -1,6 +1,8 @@
 """Round-trips and rejection cases for every on-disk format."""
 
+import importlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from netrobust.generators import GeometricPlacement, RngSeed
 from netrobust.graph import Graph, complete, counterexample, path as path_graph
 from netrobust.hardness import CnfFormula, build_g_phi
 from netrobust.io import (
+    GRAPH_NODE_LIMIT,
     read_consensus_config,
     read_formula,
     read_graph,
@@ -96,6 +99,39 @@ def test_read_graph_rejects_non_integer_ids(tmp_path):
         with pytest.raises(ValueError, match=message) as exc:
             read_graph(p)
         assert str(exc.value).startswith(f"{p}: ")
+
+
+HUGE_GRAPHS = {
+    "billion.edges": "1000000000 0\n",
+    "billion.json": '{"n": 1000000000, "edges": []}',
+    "over.edges": f"{GRAPH_NODE_LIMIT + 1} 1\n0 1\n",
+}
+
+
+def test_read_graph_refuses_a_huge_node_count_before_building(tmp_path):
+    # The graph holds one row per node: a header of 10**9 would ask for ~8 GB.
+    tracemalloc.start()
+    try:
+        for name, text in HUGE_GRAPHS.items():
+            p = tmp_path / name
+            p.write_text(text)
+            with pytest.raises(ValueError, match="GRAPH_NODE_LIMIT") as exc:
+                read_graph(p)
+            assert str(exc.value).startswith(f"{p}: ")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_read_graph_node_limit_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("netrobust.io"), "GRAPH_NODE_LIMIT", 5)
+    p = tmp_path / "g.edges"
+    p.write_text("5 1\n0 4\n")
+    assert read_graph(p) == Graph(5, [(0, 4)])
+    p.write_text("6 1\n0 4\n")
+    with pytest.raises(ValueError, match="6 nodes exceed"):
+        read_graph(p)
 
 
 def test_error_messages_name_the_file(tmp_path):

@@ -22,6 +22,7 @@ from netrobust.robustness import (
     DEFAULT_NODE_LIMIT,
     TriPartition,
     _bounds,
+    _core,
     check_subsets_reachable,
     find_degree_cut,
     find_relaxed_degree_cut,
@@ -342,6 +343,84 @@ def reference_corpus():
 def test_bounded_search_matches_plain_ascending_search():
     for g in reference_corpus():
         assert robustness(g) == reference_robustness(g), (g.n, list(g.edges()))
+
+
+# --- closed-core lookahead ----------------------------------------------------
+
+
+def largest_closed_subset(g: Graph, mask: int, rho: int) -> int:
+    """The union of every subset of mask whose nodes each have at most rho
+    neighbors outside it, by enumeration."""
+    union = 0
+    sub = mask
+    while sub:
+        if all((g.adj[v] & ~sub).bit_count() <= rho for v in iter_bits(sub)):
+            union |= sub
+        sub = (sub - 1) & mask
+    return union
+
+
+def test_core_on_fixed_shapes():
+    p5 = path(5)
+    assert _core(p5.adj, 0, 1) == 0
+    assert _core(p5.adj, p5.full_mask(), 0) == p5.full_mask()
+    assert _core(p5.adj, 0b00111, 0) == 0  # peeled from node 2 back to node 0
+    assert _core(p5.adj, 0b00111, 1) == 0b00111
+    assert _core(p5.adj, 0b10111, 1) == 0b10111  # node 4 has one neighbor, 3, outside
+    assert _core(p5.adj, 0b10111, 0) == 0
+    k7 = complete(7)
+    for size in range(8):
+        mask = (1 << size) - 1
+        # a clique subset keeps 7 - size outside neighbors per node
+        assert _core(k7.adj, mask, 2) == (mask if 7 - size <= 2 else 0)
+    ce = counterexample(10)
+    half = 0b11111
+    assert _core(ce.adj, half, 1) == half
+    assert _core(ce.adj, half, 0) == 0
+    assert _core(ce.adj, half | 1 << 5, 1) == half  # node 5 has 4 clique mates outside
+    assert _core(ce.adj, half | 1 << 5, 4) == half | 1 << 5
+    assert _core(ce.adj, ce.full_mask(), 0) == ce.full_mask()
+
+
+def test_core_is_the_largest_closed_subset():
+    rng = random.Random(0xC02E)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.random())
+        mask = rng.getrandbits(n)
+        for rho in range(4):
+            assert _core(g.adj, mask, rho) == largest_closed_subset(g, mask, rho), (list(g.edges()), mask, rho)
+
+
+def test_core_prune_changes_no_witness(monkeypatch):
+    rng = random.Random(0x9A7E)
+    corpus = [random_graph(rng, rng.randint(2, 15), rng.random()) for _ in range(520)]
+
+    def witnesses():
+        return [(find_degree_cut(g, rho), find_relaxed_degree_cut(g, rho)) for g in corpus for rho in range(4)]
+
+    pruned = witnesses()
+    # Every mask is its own core: no branch is ever pruned.
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_core", lambda adj, mask, rho: mask)
+    plain = witnesses()
+    assert pruned == plain
+    assert sum(1 for cut, _ in plain if cut is not None) > 500  # both outcomes are well covered
+
+
+def test_core_prune_cuts_the_refutation_work(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    place = module._place
+    calls = []
+
+    def counted(rules, rho, *rest):
+        calls.append(rho)
+        return place(rules, rho, *rest)
+
+    monkeypatch.setattr(module, "_place", counted)
+    g = gen_preferential(20, 3, RngSeed(0, 1))
+    assert robustness(g) == 3
+    # Without the prune, refuting rho = 2 takes 4,456 placements; with it, 52.
+    assert 0 < calls.count(2) <= 200
 
 
 @settings(max_examples=80, deadline=None)
