@@ -1,8 +1,13 @@
-"""Vertex connectivity by unit-capacity max-flow over a node-split digraph."""
+"""Vertex connectivity by unit-capacity max-flow over a node-split digraph,
+behind a ladder of cheap certificates that settle most graphs without a flow."""
 
 from __future__ import annotations
 
+import logging
+
 from .graph import Graph, is_connected, iter_bits, min_degree
+
+_log = logging.getLogger("netrobust.connectivity")
 
 
 class _SplitFlow:
@@ -17,19 +22,26 @@ class _SplitFlow:
 
     Built once per graph and reused for every terminal pair: max_flow puts
     back the rows it changed before it returns, so each call starts from
-    zero flow.
+    zero flow. calls, seeded and augmented count the max_flow calls, the
+    paths laid by their warm starts and their BFS augmentations.
     """
 
     def __init__(self, g: Graph):
         self.adj = g.adj
         self.res = list(g.adj)
+        self.calls = self.seeded = self.augmented = 0
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
         """Number of internally node-disjoint s-t paths for non-adjacent s, t,
         counted up to limit.
 
-        Each augmenting path comes from a BFS over the residual states, one
-        layer of in-states and one of out-states at a time:
+        A warm start lays the short paths first: s -> w -> t for each common
+        neighbour w, then, greedily in node order, s -> x -> y -> t over nodes
+        no path uses yet. Each is recorded exactly as an augmentation would
+        record it, so the search below may still cancel it.
+
+        Each further augmenting path comes from a BFS over the residual
+        states, one layer of in-states and one of out-states at a time:
 
         - out_v -> in_w for w in res[v];
         - out_v -> in_v if flow passes through v (cancelling it);
@@ -42,8 +54,43 @@ class _SplitFlow:
         pred: dict = {}  # flow edge pred[w] -> w, for every w with flow through it
         succ: dict = {}  # flow edge v -> succ[v], likewise
         busy = 0  # bitmask of the nodes with flow through them
-        touched = []  # rows of res that lost a bit
+        touched = [s]  # rows of res that lost a bit
         flow = 0
+        common = adj[s] & adj[t]
+        while common and flow < limit:
+            bit = common & -common
+            common ^= bit
+            w = bit.bit_length() - 1
+            res[s] ^= bit
+            res[w] ^= t_bit
+            touched.append(w)
+            pred[w], succ[w] = s, t
+            busy |= bit
+            flow += 1
+        if flow < limit:
+            firsts = adj[s] & ~busy
+            lasts = adj[t] & ~busy
+            while firsts:
+                bit = firsts & -firsts
+                firsts ^= bit
+                x = bit.bit_length() - 1
+                ys = adj[x] & lasts
+                if not ys:
+                    continue
+                y_bit = ys & -ys
+                y = y_bit.bit_length() - 1
+                lasts ^= y_bit
+                res[s] ^= bit
+                res[x] ^= y_bit
+                res[y] ^= t_bit
+                touched += (x, y)
+                pred[x], succ[x], pred[y], succ[y] = s, y, x, t
+                busy |= bit | y_bit
+                flow += 1
+                if flow == limit:
+                    break
+        self.calls += 1
+        self.seeded += flow
         while flow < limit:
             outs = []  # outs[i]: the out-states first reached in layer i
             seen_in = seen_out = frontier = 1 << s
@@ -60,8 +107,11 @@ class _SplitFlow:
                 step = (step | frontier & busy) & ~seen_in
                 seen_in |= step
                 frontier = step & ~busy
-                for w in iter_bits(step & busy):
-                    frontier |= 1 << pred[w]
+                f = step & busy
+                while f:
+                    low = f & -f
+                    f ^= low
+                    frontier |= 1 << pred[low.bit_length() - 1]
                 frontier &= ~seen_out
                 seen_out |= frontier
             else:
@@ -72,9 +122,13 @@ class _SplitFlow:
             added, removed = [], []
             w = t
             for frontier in reversed(outs):
-                for u in iter_bits(frontier & adj[w]):
+                f = frontier & adj[w]
+                while f:
+                    low = f & -f
+                    u = low.bit_length() - 1
                     if res[u] >> w & 1:
                         break
+                    f ^= low
                 else:
                     u = w  # out_w -> in_w, cancelling the flow through w
                 if u != w:
@@ -97,6 +151,7 @@ class _SplitFlow:
                     pred[w] = u
                     busy |= 1 << w
             flow += 1
+            self.augmented += 1
         for v in touched:
             res[v] = adj[v]
         return flow
@@ -114,26 +169,6 @@ def _terminal_pairs(g: Graph):
         for y in nbrs[i + 1:]:
             if not g.has_edge(x, y):
                 yield x, y
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Largest k such that every node pair is joined by k node-disjoint paths.
-
-    n-1 for complete graphs, 0 iff disconnected.
-    """
-    if g.n < 2:
-        raise ValueError("connectivity undefined")
-    if not is_connected(g):
-        return 0
-    best = min_degree(g)
-    if best == g.n - 1:
-        return best  # complete graph convention
-    net = _SplitFlow(g)
-    for u, v in _terminal_pairs(g):
-        best = min(best, net.max_flow(u, v, best))
-        if best == 0:
-            break
-    return best
 
 
 def _has_articulation_point(g: Graph) -> bool:
@@ -174,27 +209,71 @@ def _has_articulation_point(g: Graph) -> bool:
     return False
 
 
+def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
+    """The one decision path of both public functions, for k <= min degree
+    (k = 0 only on a disconnected graph).
+
+    Returns (c, how). With exact, c = min(kappa, k); without, c >= k iff
+    kappa >= k, and the flows stop at the first terminal pair that falls
+    short of k. how names what settled c: a certificate, or the flow work.
+    The cheap certificates come first:
+
+    - a disconnected graph has kappa = 0;
+    - the bit-row articulation scan: a cut vertex gives kappa = 1, and
+      without one kappa >= 2, which meets k when k <= 2 (with k = delta,
+      every graph with delta <= 2 is settled here);
+    - a complete graph has kappa = n - 1.
+
+    Only then are the terminal pairs flowed, each up to the smallest flow
+    so far; exact flows stop early once one reaches the scan's bound 2.
+    """
+    if not is_connected(g):
+        return 0, "disconnected"
+    if k == 1:
+        return 1, "delta <= 2"
+    if _has_articulation_point(g):
+        return 1, "cut vertex"
+    if k == 2:
+        return 2, "delta <= 2"
+    if k == g.n - 1:
+        return k, "complete"
+    net = _SplitFlow(g)
+    best = k
+    for u, v in _terminal_pairs(g):
+        flow = net.max_flow(u, v, best)
+        if flow < best:
+            best = flow
+            if not exact or best == 2:
+                break
+    return best, f"flowed pairs={net.calls}, seeded={net.seeded}, augmented={net.augmented}"
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Largest k such that every node pair is joined by k node-disjoint paths.
+
+    n-1 for complete graphs, 0 iff disconnected. Decided by _ladder with
+    k = min degree: most graphs are settled by a certificate (disconnected,
+    cut vertex, delta <= 2, complete) without any flow. Each call logs what
+    decided it at DEBUG level on "netrobust.connectivity".
+    """
+    if g.n < 2:
+        raise ValueError("connectivity undefined")
+    kappa, how = _ladder(g, min_degree(g), exact=True)
+    _log.debug("connectivity %d: %s", kappa, how)
+    return kappa
+
+
 def connectivity_at_least(g: Graph, k: int) -> bool:
-    """Exact decision vertex_connectivity(g) >= k, with fast small-k paths."""
+    """Exact decision vertex_connectivity(g) >= k.
+
+    k <= 0 holds and k above the min degree fails at once; otherwise _ladder
+    decides, with flows only when k >= 3 and no certificate settles it,
+    stopping at the first terminal pair with fewer than k paths.
+    """
     if g.n < 2:
         raise ValueError("connectivity undefined")
     if k <= 0:
         return True
-    if k > g.n - 1:
+    if k > min_degree(g):
         return False
-    delta = min_degree(g)
-    if delta < k:
-        return False
-    if not is_connected(g):
-        return False
-    if k == 1:
-        return True
-    if k == 2:
-        return not _has_articulation_point(g)
-    if delta == g.n - 1:
-        return True  # complete
-    net = _SplitFlow(g)
-    for u, v in _terminal_pairs(g):
-        if net.max_flow(u, v, k) < k:
-            return False
-    return True
+    return _ladder(g, k, exact=False)[0] >= k

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from .errors import ResourceGuardError
-from .graph import Graph, _node_mask, iter_bits, mask_of, set_of
+from .graph import Graph, _node_mask, iter_bits, set_of
 from .generators import rng_for
 from .robustness import check_subsets_reachable
 
@@ -205,11 +205,17 @@ def _spread(adj: list, imask: int, r: int):
     newly = imask
     while True:
         frontier = 0
-        for v in iter_bits(newly):
-            frontier |= adj[v]
-        newly = mask_of(
-            v for v in iter_bits(frontier & ~imask) if (adj[v] & imask).bit_count() >= r
-        )
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            frontier |= adj[low.bit_length() - 1]
+        newly = 0
+        fresh = frontier & ~imask
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if (adj[low.bit_length() - 1] & imask).bit_count() >= r:
+                newly |= low
         if not newly:
             return
         imask |= newly
@@ -266,6 +272,7 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
                 f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
                 f"the guard {SIMULATE_NODE_LIMIT}"
             )
-        seeds = map(mask_of, itertools.combinations(range(g.n), m))
+        bits = [1 << v for v in range(g.n)]
+        seeds = map(sum, itertools.combinations(bits, m))
         return all(s + sum(_spread(g.adj, s, r)) == g.full_mask() for s in seeds)
     raise ValueError("method must be 'exact' or 'simulate'")

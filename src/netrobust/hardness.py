@@ -19,6 +19,11 @@ from .robustness import TriPartition, _reach
 # 2^t assignments; beyond this the brute-force satisfiability oracle refuses.
 NAE_VARIABLE_LIMIT = 24
 
+# Largest gadget graph the builders assemble. The two block cliques hold up
+# to about half the nodes each, so edges grow with the square of the node
+# count: 2,500 nodes is at most about 1.6 million edges.
+GADGET_NODE_LIMIT = 2500
+
 # Clause-gadget internal wiring on labels 1..9; literal nodes are 1, 5, 9.
 _CLAUSE_INTERNAL = ((2, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8))
 # (block slot, attached labels): slot 0 shared by 1 and 2, slot 3 by 8 and 9.
@@ -200,7 +205,20 @@ def _append_core(phi, rho, base, roles, edges, tb_members, fb_members):
     return nxt
 
 
+def _gadget_nodes(phi: CnfFormula, rho: int, copies: int) -> int:
+    """Node count of _assemble's graph: per copy, two blocks of 4m + t nodes
+    and 2t + 9m gadget nodes, with rho - 1 supports per block node and
+    2(rho - 1) per gadget node."""
+    m, t = phi.num_clauses, phi.num_variables
+    return copies * (2 * (4 * m + t) * rho + (2 * t + 9 * m) * (2 * rho - 1))
+
+
 def _assemble(phi: CnfFormula, rho: int, copies: int) -> GadgetGraph:
+    n = _gadget_nodes(phi, rho, copies)
+    if n > GADGET_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"gadget graph of {n} nodes exceeds the guard {GADGET_NODE_LIMIT}"
+        )
     roles: list = []
     edges: list = []
     tb_members: list = []

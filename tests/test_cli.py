@@ -313,6 +313,17 @@ def test_gadget_command(tmp_path, capsys):
     assert "use grho/hrho" in capsys.readouterr().err
 
 
+def test_gadget_size_guard(tmp_path, capsys):
+    # 1,500 variables and no clause: two blocks of 1,500 nodes, 6,000 nodes in
+    # all, refused before any adjacency row is built
+    formula = tmp_path / "wide.cnf"
+    formula.write_text("p nae3sat 1500 0\n\n")
+    out = tmp_path / "gadget.edges"
+    assert main(["gadget", "--formula", str(formula), "--out", str(out)]) == 2
+    assert "6000 nodes exceeds the guard 2500" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import random
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netrobust import connectivity
 from netrobust.connectivity import _has_articulation_point, _SplitFlow, connectivity_at_least, vertex_connectivity
 from netrobust.generators import gen_erdos_renyi
 from netrobust.graph import (
@@ -306,3 +308,201 @@ def test_vertex_connectivity_matches_scipy_max_flow():
             for u, v in rng.sample(pairs, 20):
                 expected = maximum_flow(split, 2 * u + 1, 2 * v).flow_value
                 assert net.max_flow(u, v, n) == expected, (n, c, u, v)
+
+
+# --- the decision ladder ------------------------------------------------------
+
+
+class _NoFlow:
+    def __init__(self, g):
+        raise AssertionError("a max-flow ran")
+
+
+def min_degree_at_most_two(rng, count):
+    """Connected trees plus chords, kept to those with minimum degree <= 2."""
+    out = []
+    while len(out) < count:
+        n, edges = next(sparse_graphs(rng, 1))
+        g = Graph(n, edges)
+        if min_degree(g) <= 2:
+            out.append(g)
+    return out
+
+
+def test_scan_alone_decides_min_degree_two(monkeypatch):
+    monkeypatch.setattr(connectivity, "_SplitFlow", _NoFlow)
+    shapes = [complete(2), complete(3), path(6), cycle(9), two_cycles_sharing_a_node(), Graph(5, [(0, 1), (2, 3)])]
+    shapes += min_degree_at_most_two(random.Random(8), 120)
+    cut_vertex = [g for g in shapes if g.n >= 3 and is_connected(g) and has_cut_vertex(g)]
+    assert 10 < len(cut_vertex) < len(shapes) - 10  # both verdicts are common
+    for g in shapes:
+        assert vertex_connectivity(g) == brute_connectivity(g), g.edges()
+        for k in range(min_degree(g) + 2):
+            assert connectivity_at_least(g, k) == (brute_connectivity(g) >= k), (g.edges(), k)
+
+
+def cliques_sharing_a_node(k: int) -> Graph:
+    """Two k-cliques with node k - 1 in common: minimum degree k - 1, one cut vertex."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph(2 * k - 1, edges + [(u + k - 1, v + k - 1) for u, v in edges])
+
+
+def test_cut_vertex_settles_min_degree_three_and_more(monkeypatch):
+    rng = random.Random(9)
+    glued = []
+    for _ in range(20):
+        # two dense random halves glued at one node
+        a, b = rng.randint(5, 9), rng.randint(5, 9)
+        left = gen_erdos_renyi(a, 0.9, rng.randrange(2**32))
+        right = gen_erdos_renyi(b, 0.9, rng.randrange(2**32))
+        shift = [(u + a - 1, v + a - 1) for u, v in right.edges()]
+        g = Graph(a + b - 1, sorted(set(left.edges()) | set(shift)))
+        if is_connected(g) and min_degree(g) >= 3:
+            glued.append(g)
+    assert len(glued) >= 10
+    monkeypatch.setattr(connectivity, "_SplitFlow", _NoFlow)
+    for g in [cliques_sharing_a_node(4), cliques_sharing_a_node(6), cliques_joined_by_a_bridge(5)] + glued:
+        assert min_degree(g) >= 3 and has_cut_vertex(g)
+        assert vertex_connectivity(g) == 1
+        assert connectivity_at_least(g, 1)
+        assert not any(connectivity_at_least(g, k) for k in range(2, min_degree(g) + 2))
+
+
+def test_min_degree_three_with_a_two_node_cut_needs_the_flow():
+    # Two dense random halves glued along two nodes: no cut vertex, but a
+    # two-node cut below the minimum degree, which only the flows can find.
+    rng = random.Random(13)
+    glued = []
+    while len(glued) < 12:
+        a, b = rng.randint(5, 7), rng.randint(5, 7)
+        left = gen_erdos_renyi(a, 0.85, rng.randrange(2**32))
+        right = gen_erdos_renyi(b, 0.85, rng.randrange(2**32))
+        shift = [(u + a - 2, v + a - 2) for u, v in right.edges()]
+        g = Graph(a + b - 2, sorted(set(left.edges()) | set(shift)))
+        if min_degree(g) >= 3 and brute_connectivity(g) == 2:
+            glued.append(g)
+    for g in glued:
+        assert vertex_connectivity(g) == 2, g.edges()
+        assert connectivity_at_least(g, 2)
+        assert not connectivity_at_least(g, 3)
+
+
+def test_threshold_decision_matches_connectivity_on_seeded_graphs():
+    rng = random.Random(10)
+    graphs_ = [counterexample(12), petersen()]
+    for n in (12, 20, 30, 40):
+        for p in (0.15, 0.3, 0.5, 0.8):
+            graphs_.append(gen_erdos_renyi(n, p, rng.randrange(2**32)))
+    kappas = set()
+    for g in graphs_:
+        kappa = vertex_connectivity(g)
+        kappas.add(kappa)
+        for k in range(min_degree(g) + 2):
+            assert connectivity_at_least(g, k) == (kappa >= k), (g.n, g.edges(), k)
+    assert len(kappas) >= 6
+
+
+def cube() -> Graph:
+    return Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])
+
+
+def test_flows_run_only_past_the_certificates(monkeypatch):
+    made = []
+
+    class Counted(_SplitFlow):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(connectivity, "_SplitFlow", Counted)
+    assert vertex_connectivity(complete(7)) == 6
+    assert connectivity_at_least(counterexample(8), 2)
+    assert not made
+    assert vertex_connectivity(counterexample(8)) == 4
+    assert not connectivity_at_least(cube(), 4)
+    assert connectivity_at_least(cube(), 3)
+    assert len(made) == 2  # the (cube, 4) call stops at its degree check
+
+
+def test_decision_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="netrobust.connectivity")
+    assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+    assert vertex_connectivity(cliques_joined_by_a_bridge(4)) == 1
+    assert vertex_connectivity(cycle(6)) == 2
+    assert vertex_connectivity(complete(5)) == 4
+    assert vertex_connectivity(counterexample(10)) == 5
+    assert vertex_connectivity(cube()) == 3
+    assert connectivity_at_least(cube(), 3)  # logs nothing
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "connectivity 0: disconnected",
+        "connectivity 1: cut vertex",
+        "connectivity 2: delta <= 2",
+        "connectivity 4: complete",
+        "connectivity 5: flowed pairs=8, seeded=40, augmented=0",
+        "connectivity 3: flowed pairs=7, seeded=15, augmented=6",
+    ]
+
+
+# --- the warm start -----------------------------------------------------------
+
+
+def warm_start_paths(g: Graph, s: int, t: int) -> list:
+    """The paths max_flow lays before its first BFS, without a limit: s-w-t
+    for each common neighbour w, then for each other neighbour x of s in
+    node order the first unused neighbour y of t adjacent to x."""
+    used = g.adj[s] & g.adj[t]
+    paths = [(w,) for w in iter_bits(used)]
+    for x in iter_bits(g.adj[s] & ~used):
+        ys = [y for y in iter_bits(g.adj[t] & g.adj[x]) if not used >> y & 1]
+        if ys:
+            paths.append((x, ys[0]))
+            used |= 1 << x | 1 << ys[0]
+    return paths
+
+
+def without(g: Graph, drop: set):
+    keep = [v for v in range(g.n) if v not in drop]
+    relabel = {v: i for i, v in enumerate(keep)}
+    sub = [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel]
+    return Graph(len(keep), sub), relabel
+
+
+# Found by random search against the Menger count: from 3 to 4 the warm start
+# lays 3-0-5-4, but the one maximum flow is 3-0-6-4 plus 3-2-5-4, so the BFS
+# has to cancel the seeded arc 0 -> 5.
+CANCEL_SEED_GRAPH = (7, [(0, 1), (0, 3), (0, 5), (0, 6), (1, 6), (2, 3), (2, 5), (4, 5), (4, 6), (5, 6)])
+
+
+def test_bfs_cancels_a_seeded_path_that_no_maximum_flow_uses():
+    g = Graph(*CANCEL_SEED_GRAPH)
+    assert warm_start_paths(g, 3, 4) == [(0, 5)]
+    h, relabel = without(g, {0, 5})
+    assert brute_local_connectivity(h, relabel[3], relabel[4]) + 1 < brute_local_connectivity(g, 3, 4) == 2
+    net = _SplitFlow(g)
+    assert net.max_flow(3, 4, g.n) == 2
+    assert (net.seeded, net.augmented) == (1, 1)
+    assert net.res == g.adj
+
+
+def test_warm_start_lays_disjoint_paths_up_to_the_limit():
+    rng = random.Random(12)
+    laid = set()
+    for n, p in [(9, 0.35), (11, 0.3), (12, 0.45)]:
+        for _ in range(5):
+            g = gen_erdos_renyi(n, p, rng.randrange(2**32))
+            net = _SplitFlow(g)
+            for u in range(n):
+                for v in range(n):
+                    if u == v or g.has_edge(u, v):
+                        continue
+                    paths = warm_start_paths(g, u, v)
+                    inner = [w for path_ in paths for w in path_]
+                    assert len(inner) == len(set(inner))
+                    limit = rng.randint(1, 5)
+                    before = net.seeded
+                    flow = net.max_flow(u, v, limit)
+                    assert net.seeded - before == min(len(paths), limit)
+                    assert flow == min(limit, brute_local_connectivity(g, u, v)), (g.edges(), u, v)
+                    assert net.res == g.adj
+                    laid.add(max((len(path_) for path_ in paths[:limit]), default=0))
+    assert laid == {0, 1, 2}

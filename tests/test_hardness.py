@@ -12,6 +12,7 @@ import pytest
 
 from netrobust.errors import ResourceGuardError
 from netrobust.hardness import (
+    GADGET_NODE_LIMIT,
     Assignment,
     CnfFormula,
     GadgetGraph,
@@ -153,6 +154,19 @@ def test_rho_one_builder_is_the_base_builder():
         build_g_rho_phi(PHI, 0)
     with pytest.raises(ValueError, match="rho must be positive"):
         build_h_rho_phi(PHI, 0)
+
+
+def test_gadget_size_guard_fires_before_the_build():
+    # 4m + t = 600 nodes a block: g_phi has 2,400 nodes, h_phi three times that
+    wide = CnfFormula(600, ())
+    assert build_g_phi(wide).graph.n == g_nodes(0, 600) <= GADGET_NODE_LIMIT
+    with pytest.raises(ResourceGuardError, match="7200 nodes exceeds the guard"):
+        build_h_phi(wide)
+    # 2*rho + 1 copies of g_rho: 7 * 271 = 1,897 nodes at rho = 3, m = 3, t = 4
+    phi = CnfFormula(4, (((1, True), (2, False), (4, True)),) * 3)
+    assert build_h_rho_phi(phi, 3).graph.n == 7 * g_rho_nodes(3, 4, 3) == 1897
+    with pytest.raises(ResourceGuardError, match="3357 nodes exceeds the guard"):
+        build_h_rho_phi(phi, 4)
 
 
 @pytest.mark.parametrize("rho", [2, 3])
