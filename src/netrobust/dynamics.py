@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import ResourceGuardError
 from .graph import Graph, _node_mask, iter_bits, set_of
 from .generators import rng_for
 from .robustness import check_subsets_reachable
+
+_log = logging.getLogger("netrobust.dynamics")
 
 # Guard for the all-seed-sets contagion simulation: C(n, m) blows up fast.
 SIMULATE_NODE_LIMIT = 12
@@ -98,7 +103,8 @@ def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict")
     strict: drop the min(f, count) largest values strictly greater than own
     and the min(f, count) smallest strictly less than own. literal: drop the
     f largest and f smallest unconditionally (everything if <= 2f values).
-    Ties break by list position, earlier entries kept.
+    Among equal values the later entry is dropped first. Values are compared
+    as float64; the retained ones are returned as given.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
@@ -108,43 +114,69 @@ def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict")
 
 
 def _filter(own: float, vals: list, f: int, mode: str) -> list:
-    """wmsr_filter without the argument checks; drops from vals in place."""
-    if f == 0:
-        return vals
-    idx = range(len(vals))
-    # Stable sorts by value of ascending (high) and descending (low) positions put
-    # later duplicates first among the extremes; literal drops all of <= 2f values.
-    if mode == "strict":
-        high = sorted([i for i in idx if vals[i] > own], key=vals.__getitem__)[-f:]
-        low = [i for i in reversed(idx) if vals[i] < own]
-    else:
-        high = sorted(idx, key=vals.__getitem__)[-f:]
-        low = [i for i in reversed(idx) if i not in high]
-    for i in sorted(high + sorted(low, key=vals.__getitem__)[:f], reverse=True):
-        del vals[i]
-    return vals
+    """wmsr_filter without the argument checks: the one-column case of _kept."""
+    column = np.array(vals, dtype=float).reshape(-1, 1)
+    keep = _kept(column, own, np.ones(column.shape, bool), f, mode)
+    return [x for x, k in zip(vals, keep[:, 0]) if k]
 
 
-def _wmsr_update(nbrs: list, values, config: ConsensusConfig, round_index: int, rng) -> list:
-    f, mode, strategy = config.f_parameter, config.filter_mode, config.adversary_strategy
-    out = []
-    for v, own in enumerate(values):
-        if v in config.adversary_set:
-            out.append(strategy[v].broadcast(round_index, rng))
-        else:
-            kept = _filter(own, [values[u] for u in nbrs[v]], f, mode)
-            out.append((own + sum(kept)) / (1 + len(kept)))
+def _kept(values, own, keep, f: int, mode: str):
+    """The entries of each column of values that W-MSR keeps, of those keep marks.
+
+    f passes drop each column's largest candidate, then f its smallest: the
+    marked values above (below) own in strict mode, all marked values not yet
+    dropped in literal mode. Of equal candidates the last goes, as of a
+    stable sort by value."""
+    if f == 0 or not len(values):
+        return keep
+    last, cols = len(values) - 1, np.arange(values.shape[1])
+    for fill, extreme, beyond in ((-np.inf, np.maximum, np.greater), (np.inf, np.minimum, np.less)):
+        cand = keep & beyond(values, own) if mode == "strict" else keep
+        left = cand.copy()
+        for _ in range(f):
+            ext = extreme.reduce(np.where(left, values, fill), axis=0)
+            hit = left & (values == ext)
+            # A column with no candidate left has no hit; its argmax of 0
+            # points at its last row, which is then no candidate either.
+            left[last - hit[::-1].argmax(axis=0), cols] = False
+        keep = keep ^ cand ^ left
+    return keep
+
+
+def _neighbor_matrix(g: Graph):
+    """(width, n) neighbor indices, column v listing v's neighbors in
+    ascending order and padded with n, the index of one spare value slot."""
+    rows = [list(iter_bits(row)) for row in g.adj]
+    idx = np.full((max(map(len, rows), default=0), g.n), g.n, np.intp)
+    for v, row in enumerate(rows):
+        idx[:len(row), v] = row
+    return idx
+
+
+def _wmsr_update(idx, values, config: ConsensusConfig, round_index: int, rng) -> list:
+    """One round for all nodes at once on the matrix of _neighbor_matrix."""
+    n = len(values)
+    x = np.array([*values, 0.0], dtype=float)
+    own, nbr = x[:n], x[idx]
+    keep = _kept(nbr, own, idx < n, config.f_parameter, config.filter_mode)
+    # Summed down axis 0 of a C-ordered (width, n) array, numpy adds row after
+    # row from 0.0, as sum() adds a node's kept values in neighbor order.
+    total = np.add.reduce(np.where(keep, nbr, 0.0), axis=0, initial=0.0)
+    out = ((own + total) / (1 + keep.sum(axis=0))).tolist()
+    for v in sorted(config.adversary_set):
+        out[v] = config.adversary_strategy[v].broadcast(round_index, rng)
     return out
 
 
 def wmsr_round(g: Graph, values, config: ConsensusConfig, round_index: int = 1, rng=None):
     """One synchronous update: normal nodes average their own value with the
-    filtered neighbor values (equal weights); adversaries broadcast per strategy."""
+    filtered neighbor values (equal weights); adversaries broadcast per strategy.
+    Values are taken as float64."""
     if len(values) != g.n:
         raise ValueError("one value per node required")
     if not validate_f_local(g, config.adversary_set, config.f_parameter):
         raise ValueError("adversary placement violates F-local")
-    return _wmsr_update([list(iter_bits(row)) for row in g.adj], values, config, round_index, rng)
+    return _wmsr_update(_neighbor_matrix(g), values, config, round_index, rng)
 
 
 def _normal_spread(values, normal) -> float:
@@ -156,7 +188,7 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
     """Iterate wmsr_round until the normal-node spread drops under epsilon or
     max_rounds is hit, checking F-locality once, before the first round. Also
     enforces the validity invariant: normal values never leave the initial
-    normal [min, max] envelope."""
+    normal [min, max] envelope. Values are taken as float64."""
     if len(initial_values) != g.n:
         raise ValueError("one initial value per node required")
     normal = [v for v in range(g.n) if v not in config.adversary_set]
@@ -172,11 +204,11 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
     if not spread < config.convergence_epsilon:
         if not validate_f_local(g, config.adversary_set, config.f_parameter):
             raise ValueError("adversary placement violates F-local")
-        nbrs = [list(iter_bits(row)) for row in g.adj]
+        idx = _neighbor_matrix(g)
     k = 0
     while not spread < config.convergence_epsilon and k < config.max_rounds:
         k += 1
-        values = _wmsr_update(nbrs, values, config, k, rng)
+        values = _wmsr_update(idx, values, config, k, rng)
         rounds.append(tuple(values))
         for v in normal:
             if not lo - slack <= values[v] <= hi + slack:
@@ -184,7 +216,11 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
                     f"validity violated: node {v} left [{lo}, {hi}] at round {k}"
                 )
         spread = _normal_spread(values, normal)
-    return ConsensusTrace(tuple(rounds), spread < config.convergence_epsilon, spread)
+    converged = spread < config.convergence_epsilon
+    if _log.isEnabledFor(logging.DEBUG):
+        state, width = "converged" if converged else "not converged", len(idx) if k else 0
+        _log.debug("consensus %s after %d rounds: spread %r, n=%d, width=%d", state, k, spread, g.n, width)
+    return ConsensusTrace(tuple(rounds), converged, spread)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import numpy as np
 from .connectivity import connectivity_at_least, vertex_connectivity
 from .generators import (
     RngSeed,
+    _er_guard,
     gen_geometric,
     gen_preferential,
     graph_from_pair_mask,
@@ -166,6 +167,7 @@ def _guard_er_sweep(spec: SweepSpec, n: int) -> None:
     """Raise every size guard the requested properties can trip, before any
     trial is sampled: the degree prefilter and the monotone skip in
     run_er_sweep may never evaluate the property that would trip it."""
+    _er_guard(n)
     if "r_robust" in spec.properties:
         if n > spec.exact_limit:
             raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceGuardError
 from .graph import Graph, _from_rows, complete
 from .robustness import is_r_robust
 
@@ -50,13 +51,29 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(n * (n - 1) // 2)
 
 
+# Guard for G(n, p): n(n-1)/2 float64 uniforms and two int64 index arrays.
+ER_NODE_LIMIT = 5000
+# Index pairs the pair_indices cache holds at most, 16 bytes each (about
+# 64 MB); the least recently used size goes first, and a larger one is not kept.
+_TRIU_BUDGET = 2**22
 _TRIU_CACHE: dict = {}
 
 
+def _er_guard(n: int) -> None:
+    if n > ER_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"G(n, p) draws one uniform per node pair; n={n} exceeds the guard "
+            f"ER_NODE_LIMIT = {ER_NODE_LIMIT}"
+        )
+
+
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _TRIU_CACHE:
-        _TRIU_CACHE[n] = np.triu_indices(n, 1)
-    return _TRIU_CACHE[n]
+    pairs = _TRIU_CACHE.pop(n, None) or np.triu_indices(n, 1)
+    if len(pairs[0]) <= _TRIU_BUDGET:
+        _TRIU_CACHE[n] = pairs  # (re)inserted as the most recent
+        while sum(len(iu) for iu, _ in _TRIU_CACHE.values()) > _TRIU_BUDGET:
+            del _TRIU_CACHE[next(iter(_TRIU_CACHE))]
+    return pairs
 
 
 def graph_from_pair_mask(n: int, mask: np.ndarray) -> Graph:
@@ -84,6 +101,7 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    _er_guard(n)
     u = pair_uniforms(n, rng_for(seed))
     return graph_from_pair_mask(n, u < p)
 

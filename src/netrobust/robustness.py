@@ -154,14 +154,14 @@ def _tie_classes(adj: list, rho: int):
     _strong_pairs), and near[v]: the union of the adjacency rows of tie[v].
 
     A pair already tied through other strong pairs is never tested, so a
-    clique costs one pass over the star of its first node.
+    clique costs one pass over the star of its first node; nor is a pair
+    tested twice, as node v tests only neighbors above v.
     """
     need = 2 * rho - 1
-    n = len(adj)
-    tie = [1 << v for v in range(n)]
+    tie = [1 << v for v in range(len(adj))]
     for v, row in enumerate(adj):
         merged = tie[v]
-        rest = row & ~merged
+        rest = (row >> (v + 1) << (v + 1)) & ~merged
         while rest:
             low = rest & -rest
             rest ^= low
@@ -169,19 +169,15 @@ def _tie_classes(adj: list, rho: int):
             if (row & adj[u]).bit_count() >= need:
                 merged |= tie[u]
         if merged != tie[v]:
-            members = list(iter_bits(merged))
-            for u in members:
-                tie[u] = merged
-    near = [0] * n
-    for v in range(n):
-        if not near[v]:
-            members = list(iter_bits(tie[v]))
-            rows = 0
-            for u in members:
-                rows |= adj[u]
-            for u in members:
-                near[u] = rows
-    return tie, near
+            rest = merged
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                tie[low.bit_length() - 1] = merged
+    rows: dict = {}
+    for v, t in enumerate(tie):
+        rows[t] = rows.get(t, 0) | adj[v]
+    return tie, [rows[t] for t in tie]
 
 
 def _core(adj: list, mask: int, rho: int) -> int:

@@ -4,12 +4,14 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
+from netrobust.generators import ER_NODE_LIMIT
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
@@ -321,6 +323,27 @@ def test_gadget_size_guard(tmp_path, capsys):
     out = tmp_path / "gadget.edges"
     assert main(["gadget", "--formula", str(formula), "--out", str(out)]) == 2
     assert "6000 nodes exceeds the guard 2500" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_er_size_guard_refuses_before_sampling(tmp_path, capsys):
+    # n = 20,000 would draw about 200 million uniforms, some 5 GB with the indices
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "family": "erdos_renyi", "n": ER_NODE_LIMIT + 1, "r": 2, "trials": 1, "seed": 0,
+        "offsets": [0.0], "properties": ["min_degree_r"],
+    }))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "er", "--n", "20000", "--p", "0.001", "--out", str(out)]) == 2
+        assert "n=20000 exceeds the guard ER_NODE_LIMIT = 5000" in capsys.readouterr().err
+        assert main(["sweep", "er", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "n=5001 exceeds the guard ER_NODE_LIMIT" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Resilient-averaging rounds and threshold cascades."""
 
+import logging
 import random
 
 import pytest
@@ -468,3 +469,94 @@ def test_far_off_node_ids_are_refused_before_any_shift():
     )
     with pytest.raises(ValueError, match="adversary set contains nodes outside the graph"):
         run_consensus(path(3), [0.0, 1.0, 2.0], config)
+
+
+# --- the batched round against the per-node reference --------------------------
+
+
+def _bits(rows):
+    """Rows of values as (type, float hex): == only if bit-identical, signed
+    zeros and int-versus-float included."""
+    return [[(type(x), float(x).hex()) for x in row] for row in rows]
+
+
+def _consensus_graphs():
+    hub = gen_preferential(30, 3, RngSeed(12, 1))  # several nodes of degree > 8
+    yield hub
+    yield Graph(hub.n + 1, hub.edges())  # plus an isolated normal node
+    yield Graph(7, [])
+    yield complete(9)
+    yield cycle(6)  # no padding: every node's row is full
+
+
+def test_batched_rounds_match_the_reference_bit_for_bit():
+    rng = random.Random(8)
+    strategies = [Constant(0.5), UniformRandom(-1.0, 2.0), Ramp(-0.5, 0.05)]
+    assert max(max(hub.degree(v) for v in range(hub.n)) for hub in _consensus_graphs()) > 8
+    cases = 0
+    for g in _consensus_graphs():
+        for f in (0, 1, 2, 3):
+            for mode in ("strict", "literal"):
+                adversaries = rng.sample(range(g.n), f)
+                config = ConsensusConfig(
+                    f_parameter=f,
+                    filter_mode=mode,
+                    max_rounds=25,
+                    adversary_set=frozenset(adversaries),
+                    adversary_strategy={a: rng.choice(strategies) for a in adversaries},
+                    rng_seed=RngSeed(5, cases),
+                )
+                initial = [rng.choice([0.0, -0.0, 0.5, 1.0, rng.random()]) for _ in range(g.n)]
+                trace = run_consensus(g, initial, config)
+                rounds, converged, spread = reference_run_consensus(g, initial, config)
+                assert _bits(trace.rounds) == _bits(rounds)
+                assert (trace.converged, float(trace.final_spread).hex()) == (converged, float(spread).hex())
+                # -0.0 neighbours of a -0.0 node: sum() starts from 0, so it gives 0.0
+                for k, values in enumerate(rounds[:4] + [[-0.0] * (g.n - 1) + [1.0]]):
+                    ours = wmsr_round(g, values, config, k + 1, rng_for(RngSeed(6, k)))
+                    ref = reference_wmsr_round(g, values, config, k + 1, rng_for(RngSeed(6, k)))
+                    assert _bits([ours]) == _bits([ref])
+                cases += 1
+    assert cases == 40
+
+
+def test_int_values_and_an_int_broadcast_keep_the_reference_types():
+    g = gen_preferential(12, 3, RngSeed(4))
+    config = ConsensusConfig(
+        f_parameter=1, max_rounds=40, adversary_set=frozenset({0}), adversary_strategy={0: Constant(2)}
+    )
+    initial = [v % 4 for v in range(g.n)]
+    trace = run_consensus(g, initial, config)
+    rounds, converged, spread = reference_run_consensus(g, initial, config)
+    assert _bits(trace.rounds) == _bits(rounds)
+    assert type(trace.rounds[1][0]) is int and type(trace.rounds[1][1]) is float
+    out = wmsr_round(g, initial, config)
+    assert _bits([out]) == _bits([reference_wmsr_round(g, initial, config, 1, None)])
+
+
+def test_adversaries_broadcast_in_node_order():
+    adversaries = frozenset({5, 8})
+    assert list(adversaries) != sorted(adversaries)  # iteration order is not node order
+    g = gen_preferential(14, 5, RngSeed(2))
+    config = ConsensusConfig(
+        f_parameter=2,
+        max_rounds=20,
+        adversary_set=adversaries,
+        adversary_strategy={5: UniformRandom(0.0, 1.0), 8: UniformRandom(10.0, 11.0)},
+        rng_seed=RngSeed(1),
+    )
+    initial = [v / 14 for v in range(g.n)]
+    rounds, _, _ = reference_run_consensus(g, initial, config)
+    assert _bits(run_consensus(g, initial, config).rounds) == _bits(rounds)
+
+
+def test_consensus_logs_its_run(caplog):
+    caplog.set_level(logging.DEBUG, logger="netrobust.dynamics")
+    config = ConsensusConfig(f_parameter=0, max_rounds=3)
+    run_consensus(path(3), [0.0, 3.0, 9.0], config)
+    run_consensus(complete(4), [1.0] * 4, config)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages == [
+        "consensus not converged after 3 rounds: spread 1.125, n=3, width=2",
+        "consensus converged after 0 rounds: spread 0.0, n=4, width=0",
+    ]

@@ -2,12 +2,16 @@
 shape facts each family guarantees by construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from netrobust import generators
+from netrobust.errors import ResourceGuardError
 from netrobust.generators import (
+    ER_NODE_LIMIT,
     GeometricPlacement,
     RngSeed,
     gen_erdos_renyi,
@@ -99,6 +103,42 @@ def test_pair_mask_rows_equal_the_checked_edge_build(n, p):
     iu, ju = pair_indices(n)
     sel = np.flatnonzero(mask)
     assert graph_from_pair_mask(n, mask) == Graph(n, zip(iu[sel].tolist(), ju[sel].tolist()))
+
+
+def test_pair_index_cache_keeps_the_recent_sizes_within_its_budget(monkeypatch):
+    monkeypatch.setattr(generators, "_TRIU_CACHE", {})
+    # the benchmark's sizes: er_sweep's 200 and 1000, the cascades' 300-1000
+    for n in (200, 1000, 300, 500, 700, 1000, 10):
+        pair_indices(n)
+    assert sorted(generators._TRIU_CACHE) == [10, 200, 300, 500, 700, 1000]
+    assert pair_indices(1000)[0] is generators._TRIU_CACHE[1000][0]
+
+    monkeypatch.setattr(generators, "_TRIU_CACHE", {})
+    monkeypatch.setattr(generators, "_TRIU_BUDGET", 100)
+    for n in (10, 8, 10, 9):  # 45, 28 and 36 pairs: 8, the least recent, goes
+        pair_indices(n)
+    assert list(generators._TRIU_CACHE) == [10, 9]
+    iu, ju = pair_indices(15)  # 105 pairs, over the budget alone: not kept
+    assert len(iu) == 105 and list(generators._TRIU_CACHE) == [10, 9]
+
+
+def test_a_large_er_graph_leaves_no_index_arrays_behind():
+    tracemalloc.start()
+    try:
+        gen_erdos_renyi(4000, 0.001, RngSeed(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert 4000 not in generators._TRIU_CACHE
+
+
+def test_er_node_guard_is_inclusive_and_raised_before_sampling(monkeypatch):
+    monkeypatch.setattr(generators, "ER_NODE_LIMIT", 5)
+    assert gen_erdos_renyi(5, 1.0, RngSeed(0)) == complete(5)
+    with pytest.raises(ResourceGuardError, match="n=6 exceeds the guard ER_NODE_LIMIT = 5"):
+        gen_erdos_renyi(6, 0.5, RngSeed(0))
+    assert ER_NODE_LIMIT == 5000
 
 
 # --- geometric ---------------------------------------------------------------

@@ -16,13 +16,15 @@ from hypothesis import assume, given, settings, strategies as st
 from netrobust.connectivity import vertex_connectivity
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import RngSeed, gen_preferential
-from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, min_degree, path
+from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, mask_of, min_degree, path
 from netrobust.hardness import verify_cut
 from netrobust.robustness import (
     DEFAULT_NODE_LIMIT,
     TriPartition,
     _bounds,
     _core,
+    _strong_pairs,
+    _tie_classes,
     check_subsets_reachable,
     find_degree_cut,
     find_relaxed_degree_cut,
@@ -390,6 +392,24 @@ def test_core_is_the_largest_closed_subset():
         mask = rng.getrandbits(n)
         for rho in range(4):
             assert _core(g.adj, mask, rho) == largest_closed_subset(g, mask, rho), (list(g.edges()), mask, rho)
+
+
+def test_tie_classes_are_the_strong_pair_components():
+    rng = random.Random(0x71E)
+    corpus = [random_graph(rng, rng.randint(1, 16), rng.random()) for _ in range(200)]
+    corpus += [complete(9), counterexample(12), gen_preferential(30, 4, RngSeed(3))]
+    for g in corpus:
+        for rho in range(4):
+            strong = _strong_pairs(g.adj, rho)
+            tie, near = [], []
+            for v in range(g.n):
+                comp, todo = 0, 1 << v
+                while todo:  # the component of v over strong pairs
+                    comp |= todo
+                    todo = mask_of(u for w in iter_bits(todo) for u in iter_bits(strong[w])) & ~comp
+                tie.append(comp)
+                near.append(mask_of(u for w in iter_bits(comp) for u in iter_bits(g.adj[w])))
+            assert _tie_classes(g.adj, rho) == (tie, near), (list(g.edges()), rho)
 
 
 def test_core_prune_changes_no_witness(monkeypatch):
