@@ -20,6 +20,9 @@ SIMULATE_NODE_LIMIT = 12
 
 # Slack for float roundoff when asserting the consensus validity invariant.
 _VALIDITY_SLACK = 1e-9
+# Up to this many padded cells, one neighbor matrix for all nodes costs fewer
+# numpy calls a round than one per degree class, and little memory.
+_PAD_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,9 @@ def _filter(own: float, vals: list, f: int, mode: str) -> list:
 
 
 def _kept(values, own, keep, f: int, mode: str):
-    """The entries of each column of values that W-MSR keeps, of those keep marks.
-
-    f passes drop each column's largest candidate, then f its smallest: the
-    marked values above (below) own in strict mode, all marked values not yet
-    dropped in literal mode. Of equal candidates the last goes, as of a
-    stable sort by value."""
+    """Which entries of each column of values W-MSR keeps, of those keep marks:
+    f passes drop the largest candidate, f the smallest (in strict mode only
+    values above, or below, own are candidates); of equal ones the last goes."""
     if f == 0 or not len(values):
         return keep
     last, cols = len(values) - 1, np.arange(values.shape[1])
@@ -136,33 +136,45 @@ def _kept(values, own, keep, f: int, mode: str):
         for _ in range(f):
             ext = extreme.reduce(np.where(left, values, fill), axis=0)
             hit = left & (values == ext)
-            # A column with no candidate left has no hit; its argmax of 0
-            # points at its last row, which is then no candidate either.
+            # No hit left: argmax 0 names the last row, no candidate either.
             left[last - hit[::-1].argmax(axis=0), cols] = False
         keep = keep ^ cand ^ left
     return keep
 
 
-def _neighbor_matrix(g: Graph):
-    """(width, n) neighbor indices, column v listing v's neighbors in
-    ascending order and padded with n, the index of one spare value slot."""
+def _neighbor_blocks(g: Graph) -> list:
+    """(nodes, idx, real) per block: column j of idx lists the neighbors of
+    nodes[j] in ascending order, padded with n, the index of a spare value
+    slot, and real marks the neighbors. A block holds the nodes whose degree
+    rounds up to one power of two, padding at most 4m + n cells in all,
+    unless one block of the maximum degree pads at most _PAD_CELLS."""
     rows = [list(iter_bits(row)) for row in g.adj]
-    idx = np.full((max(map(len, rows), default=0), g.n), g.n, np.intp)
+    top = max(map(len, rows), default=0)
+    blocks: dict = {}
     for v, row in enumerate(rows):
-        idx[:len(row), v] = row
-    return idx
+        w = top if top * g.n <= _PAD_CELLS else 1 << max(len(row) - 1, 0).bit_length()
+        blocks.setdefault(max(w, 1), []).append(v)
+    for w, nodes in blocks.items():
+        idx = np.full((w, len(nodes)), g.n, np.intp)
+        for j, v in enumerate(nodes):
+            idx[:len(rows[v]), j] = rows[v]
+        blocks[w] = (np.array(nodes), idx, idx < g.n)
+    return [blocks[w] for w in sorted(blocks)]
 
 
-def _wmsr_update(idx, values, config: ConsensusConfig, round_index: int, rng) -> list:
-    """One round for all nodes at once on the matrix of _neighbor_matrix."""
+def _wmsr_update(blocks, values, config: ConsensusConfig, round_index: int, rng) -> list:
+    """One round for all nodes at once, a block of _neighbor_blocks at a time."""
     n = len(values)
     x = np.array([*values, 0.0], dtype=float)
-    own, nbr = x[:n], x[idx]
-    keep = _kept(nbr, own, idx < n, config.f_parameter, config.filter_mode)
-    # Summed down axis 0 of a C-ordered (width, n) array, numpy adds row after
-    # row from 0.0, as sum() adds a node's kept values in neighbor order.
-    total = np.add.reduce(np.where(keep, nbr, 0.0), axis=0, initial=0.0)
-    out = ((own + total) / (1 + keep.sum(axis=0))).tolist()
+    total, count = np.empty(n), np.empty(n)
+    for nodes, idx, real in blocks:
+        nbr = x[idx]
+        keep = _kept(nbr, x[nodes], real, config.f_parameter, config.filter_mode)
+        # accumulate adds row after row, keeping each partial sum: a left fold
+        # in neighbor order; + 0.0 makes it one from 0.0 (-0.0 becomes 0.0).
+        total[nodes] = np.add.accumulate(np.where(keep, nbr, 0.0))[-1] + 0.0
+        count[nodes] = keep.sum(axis=0)
+    out = ((x[:n] + total) / (1 + count)).tolist()
     for v in sorted(config.adversary_set):
         out[v] = config.adversary_strategy[v].broadcast(round_index, rng)
     return out
@@ -176,7 +188,7 @@ def wmsr_round(g: Graph, values, config: ConsensusConfig, round_index: int = 1, 
         raise ValueError("one value per node required")
     if not validate_f_local(g, config.adversary_set, config.f_parameter):
         raise ValueError("adversary placement violates F-local")
-    return _wmsr_update(_neighbor_matrix(g), values, config, round_index, rng)
+    return _wmsr_update(_neighbor_blocks(g), values, config, round_index, rng)
 
 
 def _normal_spread(values, normal) -> float:
@@ -200,15 +212,15 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
     slack = _VALIDITY_SLACK * max(1.0, abs(lo), abs(hi))
     rounds = [tuple(float(x) for x in initial_values)]
     values = list(initial_values)
-    spread = _normal_spread(values, normal)
+    spread, blocks = _normal_spread(values, normal), []
     if not spread < config.convergence_epsilon:
         if not validate_f_local(g, config.adversary_set, config.f_parameter):
             raise ValueError("adversary placement violates F-local")
-        idx = _neighbor_matrix(g)
+        blocks = _neighbor_blocks(g)
     k = 0
     while not spread < config.convergence_epsilon and k < config.max_rounds:
         k += 1
-        values = _wmsr_update(idx, values, config, k, rng)
+        values = _wmsr_update(blocks, values, config, k, rng)
         rounds.append(tuple(values))
         for v in normal:
             if not lo - slack <= values[v] <= hi + slack:
@@ -218,8 +230,8 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
         spread = _normal_spread(values, normal)
     converged = spread < config.convergence_epsilon
     if _log.isEnabledFor(logging.DEBUG):
-        state, width = "converged" if converged else "not converged", len(idx) if k else 0
-        _log.debug("consensus %s after %d rounds: spread %r, n=%d, width=%d", state, k, spread, g.n, width)
+        state, widths = "converged" if converged else "not converged", [len(b[1]) for b in blocks]
+        _log.debug("consensus %s after %d rounds: spread %r, n=%d, widths=%s", state, k, spread, g.n, widths)
     return ConsensusTrace(tuple(rounds), converged, spread)
 
 

@@ -53,8 +53,7 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
 
 # Guard for G(n, p): n(n-1)/2 float64 uniforms and two int64 index arrays.
 ER_NODE_LIMIT = 5000
-# Index pairs the pair_indices cache holds at most, 16 bytes each (about
-# 64 MB); the least recently used size goes first, and a larger one is not kept.
+# Index pairs (16 bytes each) the pair_indices cache holds, least recent out first.
 _TRIU_BUDGET = 2**22
 _TRIU_CACHE: dict = {}
 

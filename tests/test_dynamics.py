@@ -1,13 +1,18 @@
 """Resilient-averaging rounds and threshold cascades."""
 
+import functools
 import logging
+import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netrobust import dynamics
 from netrobust.dynamics import (
     _filter,
+    _neighbor_blocks,
     CascadeState,
     Constant,
     ConsensusConfig,
@@ -344,7 +349,9 @@ def reference_wmsr_round(g, values, config, round_index, rng):
             continue
         nbr_vals = [values[u] for u in iter_bits(g.adj[v])]
         kept = reference_wmsr_filter(values[v], nbr_vals, config.f_parameter, config.filter_mode)
-        out[v] = (values[v] + sum(kept)) / (1 + len(kept))
+        # A left fold from int 0 in neighbor order: sum() up to Python 3.11
+        # (3.12 made sum() of floats compensated).
+        out[v] = (values[v] + functools.reduce(operator.add, kept, 0)) / (1 + len(kept))
     return out
 
 
@@ -489,7 +496,9 @@ def _consensus_graphs():
     yield cycle(6)  # no padding: every node's row is full
 
 
-def test_batched_rounds_match_the_reference_bit_for_bit():
+@pytest.mark.parametrize("pad_cells", [dynamics._PAD_CELLS, 0])
+def test_batched_rounds_match_the_reference_bit_for_bit(pad_cells, monkeypatch):
+    monkeypatch.setattr(dynamics, "_PAD_CELLS", pad_cells)  # 0: one block per degree class
     rng = random.Random(8)
     strategies = [Constant(0.5), UniformRandom(-1.0, 2.0), Ramp(-0.5, 0.05)]
     assert max(max(hub.degree(v) for v in range(hub.n)) for hub in _consensus_graphs()) > 8
@@ -511,7 +520,7 @@ def test_batched_rounds_match_the_reference_bit_for_bit():
                 rounds, converged, spread = reference_run_consensus(g, initial, config)
                 assert _bits(trace.rounds) == _bits(rounds)
                 assert (trace.converged, float(trace.final_spread).hex()) == (converged, float(spread).hex())
-                # -0.0 neighbours of a -0.0 node: sum() starts from 0, so it gives 0.0
+                # -0.0 neighbours of a -0.0 node: the fold starts from 0, so it gives 0.0
                 for k, values in enumerate(rounds[:4] + [[-0.0] * (g.n - 1) + [1.0]]):
                     ours = wmsr_round(g, values, config, k + 1, rng_for(RngSeed(6, k)))
                     ref = reference_wmsr_round(g, values, config, k + 1, rng_for(RngSeed(6, k)))
@@ -557,6 +566,37 @@ def test_consensus_logs_its_run(caplog):
     run_consensus(complete(4), [1.0] * 4, config)
     messages = [rec.getMessage() for rec in caplog.records]
     assert messages == [
-        "consensus not converged after 3 rounds: spread 1.125, n=3, width=2",
-        "consensus converged after 0 rounds: spread 0.0, n=4, width=0",
+        "consensus not converged after 3 rounds: spread 1.125, n=3, widths=[2]",
+        "consensus converged after 0 rounds: spread 0.0, n=4, widths=[]",
     ]
+
+
+def _padded_cells(g):
+    blocks = _neighbor_blocks(g)
+    assert sorted(v for nodes, _, _ in blocks for v in nodes.tolist()) == list(range(g.n))
+    return sum(idx.size for _, idx, _ in blocks)
+
+
+def test_padding_stays_linear_in_the_edges():
+    star = Graph(3000, [(0, v) for v in range(1, 3000)])
+    hub = Graph(3000, [(0, v) for v in range(1, 3000)] + [(v, v + 1) for v in range(1, 2999)])
+    for g in (star, hub, gen_preferential(2000, 3, RngSeed(6))):
+        m = g.edge_count()
+        assert max(g.degree(v) for v in range(g.n)) * g.n > dynamics._PAD_CELLS
+        assert _padded_cells(g) <= 4 * m + g.n
+    small = gen_preferential(60, 3, RngSeed(6))  # one block of the maximum degree
+    assert _padded_cells(small) == small.n * max(small.degree(v) for v in range(small.n))
+
+
+def test_consensus_on_a_star_stays_small():
+    # One (degree, n) matrix would hold 3000 x 2999 cells, 72 MB per array.
+    g = Graph(3000, [(0, v) for v in range(1, 3000)])
+    config = ConsensusConfig(f_parameter=1, max_rounds=3)
+    tracemalloc.start()
+    try:
+        trace = run_consensus(g, [v / 3000 for v in range(3000)], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rounds) == 4
+    assert peak < 4 * 2**20
