@@ -94,7 +94,7 @@ def _cmd_sweep(args) -> int:
     if args.gnuplot:
         if args.out is None or args.format != "csv":
             raise ValueError("--gnuplot needs --out with the csv format")
-        with open(args.gnuplot, "w") as fh:
+        with nio.opened(args.gnuplot) as fh:
             fh.write(gnuplot_script(args.out, spec.properties) + "\n")
     return 0
 

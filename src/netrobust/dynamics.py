@@ -113,11 +113,7 @@ def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict")
         raise ValueError("f must be nonnegative")
     if mode not in ("strict", "literal"):
         raise ValueError("mode must be 'strict' or 'literal'")
-    return _filter(own, list(neighbor_values), f, mode)
-
-
-def _filter(own: float, vals: list, f: int, mode: str) -> list:
-    """wmsr_filter without the argument checks: the one-column case of _kept."""
+    vals = list(neighbor_values)  # the one-column case of _kept
     column = np.array(vals, dtype=float).reshape(-1, 1)
     keep = _kept(column, own, np.ones(column.shape, bool), f, mode)
     return [x for x, k in zip(vals, keep[:, 0]) if k]

@@ -13,10 +13,10 @@ from .connectivity import connectivity_at_least, vertex_connectivity
 from .generators import (
     RngSeed,
     _er_guard,
+    _pair_ends,
     gen_geometric,
     gen_preferential,
     graph_from_pair_mask,
-    pair_indices,
     pair_uniforms,
     rng_for,
 )
@@ -213,12 +213,11 @@ def run_er_sweep(spec: SweepSpec):
     ascending = sorted({p for _, p, _ in points})
     props = tuple(dict.fromkeys(spec.properties))
     counts = {(p, prop): 0 for p in ascending for prop in props}
-    iu, ju = pair_indices(n)
     for k in range(spec.trials):
         u = pair_uniforms(n, rng_for(spec.base_seed.child(k)))
         # Pairs present at the highest p; every lower p selects among them.
         top = np.flatnonzero(u < max(ascending, default=0.0))
-        u_top, iu_top, ju_top = u[top], iu[top], ju[top]
+        u_top, (iu_top, ju_top) = u[top], _pair_ends(n, top)
         held = []  # properties that hold at this p, hence at every higher p
         for p in ascending:
             if len(held) < len(props):

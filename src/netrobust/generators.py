@@ -51,11 +51,8 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(n * (n - 1) // 2)
 
 
-# Guard for G(n, p): n(n-1)/2 float64 uniforms and two int64 index arrays.
+# Guard for G(n, p): n(n-1)/2 float64 uniforms and a boolean mask over them.
 ER_NODE_LIMIT = 5000
-# Index pairs (16 bytes each) the pair_indices cache holds, least recent out first.
-_TRIU_BUDGET = 2**22
-_TRIU_CACHE: dict = {}
 
 
 def _er_guard(n: int) -> None:
@@ -66,13 +63,17 @@ def _er_guard(n: int) -> None:
         )
 
 
+def _pair_ends(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the given positions in pair_uniforms order: row u starts at
+    u(2n - u - 1)/2, so u is the last row start at or below the position."""
+    us = np.arange(n, dtype=np.int64)
+    starts = us * (2 * n - us - 1) // 2
+    u = np.searchsorted(starts, flat, side="right") - 1
+    return u, flat - starts[u] + u + 1
+
+
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = _TRIU_CACHE.pop(n, None) or np.triu_indices(n, 1)
-    if len(pairs[0]) <= _TRIU_BUDGET:
-        _TRIU_CACHE[n] = pairs  # (re)inserted as the most recent
-        while sum(len(iu) for iu, _ in _TRIU_CACHE.values()) > _TRIU_BUDGET:
-            del _TRIU_CACHE[next(iter(_TRIU_CACHE))]
-    return pairs
+    return _pair_ends(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
 
 
 def graph_from_pair_mask(n: int, mask: np.ndarray) -> Graph:
@@ -82,10 +83,9 @@ def graph_from_pair_mask(n: int, mask: np.ndarray) -> Graph:
     n * ceil(n/8) bytes, node u's row being bytes u*width .. (u+1)*width - 1
     in little-endian bit order; each row then becomes one int.
     """
-    iu, ju = pair_indices(n)
-    sel = np.flatnonzero(mask)
-    src = np.concatenate((iu[sel], ju[sel]))
-    dst = np.concatenate((ju[sel], iu[sel]))
+    iu, ju = _pair_ends(n, np.flatnonzero(mask))
+    src = np.concatenate((iu, ju))
+    dst = np.concatenate((ju, iu))
     width = max(1, (n + 7) // 8)  # a nonzero step for the slicing below, also at n = 0
     packed = np.zeros(n * width, np.uint8)
     np.bitwise_or.at(packed, src * width + dst // 8, (1 << dst % 8).astype(np.uint8))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
@@ -21,14 +21,35 @@ from .hardness import CnfFormula, GadgetGraph, Role
 GRAPH_NODE_LIMIT = 10**7
 
 
-@contextmanager
 def opened(path, mode: str = "w", **kw):
     """open() that passes already-open file objects straight through."""
     if hasattr(path, "write") or hasattr(path, "read"):
-        yield path
-    else:
-        with open(path, mode, **kw) as fh:
+        return nullcontext(path)
+    return open(path, mode, **kw)
+
+
+@contextmanager
+def _reading(path, what: str, **open_kw):
+    """The one way a reader gets its file. Malformed content raised inside
+    the block, undecodable bytes included, comes out as ValueError naming
+    the path; a missing key is reported as a missing `what` key."""
+    try:
+        with opened(path, "r", **open_kw) as fh:
             yield fh
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {what} key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
 
 
 def write_graph(g: Graph, path, format: str = "edgelist") -> None:
@@ -48,33 +69,16 @@ def write_graph(g: Graph, path, format: str = "edgelist") -> None:
         raise ValueError("format must be 'edgelist' or 'json'")
 
 
-def _graph_from_pairs(path, n, pairs) -> Graph:
-    if n > GRAPH_NODE_LIMIT:
-        raise ValueError(f"{path}: {n} nodes exceed the guard GRAPH_NODE_LIMIT = {GRAPH_NODE_LIMIT}")
-    for u, v in pairs:
-        if not u < v:
-            raise ValueError(f"{path}: edge ({u}, {v}) not in canonical u < v order")
-    try:
-        return Graph(n, pairs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def read_graph(path) -> Graph:
     """Reads either graph format (sniffed from the first character).
 
     Malformed content raises ValueError with a message naming the path."""
-    with open(path) as fh:
+    with _reading(path, "graph") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
-            raise ValueError(f"{path}: graph object needs exactly 'n' and 'edges'")
-        try:
+        if text.lstrip().startswith("{"):
+            payload = _json_object(text, "graph")
+            if set(payload) != {"n", "edges"}:
+                raise ValueError("graph object needs exactly 'n' and 'edges'")
             n = _integer(payload["n"], "'n'")
             edges = payload["edges"]
             if not isinstance(edges, list) or not all(
@@ -82,33 +86,36 @@ def read_graph(path) -> Graph:
             ):
                 raise ValueError("'edges' must be a list of [u, v] pairs")
             pairs = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint")) for u, v in edges]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return _graph_from_pairs(path, n, pairs)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n <edge count>'")
-    try:
-        n, count = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}: header {lines[0]!r} needs two integers") from None
-    if count != len(lines) - 1:
-        raise ValueError(
-            f"{path}: header promises {count} edges, file has {len(lines) - 1}"
-        )
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed edge line {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"{path}: edge line {ln!r} needs two integers") from None
-    return _graph_from_pairs(path, n, pairs)
+        else:
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if not lines:
+                raise ValueError("empty graph file")
+            head = lines[0].split()
+            if len(head) != 2:
+                raise ValueError("header must be 'n <edge count>'")
+            try:
+                n, count = int(head[0]), int(head[1])
+            except ValueError:
+                raise ValueError(f"header {lines[0]!r} needs two integers") from None
+            if count != len(lines) - 1:
+                raise ValueError(
+                    f"header promises {count} edges, file has {len(lines) - 1}"
+                )
+            pairs = []
+            for ln in lines[1:]:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"malformed edge line {ln!r}")
+                try:
+                    pairs.append((int(parts[0]), int(parts[1])))
+                except ValueError:
+                    raise ValueError(f"edge line {ln!r} needs two integers") from None
+        if n > GRAPH_NODE_LIMIT:
+            raise ValueError(f"{n} nodes exceed the guard GRAPH_NODE_LIMIT = {GRAPH_NODE_LIMIT}")
+        for u, v in pairs:
+            if not u < v:
+                raise ValueError(f"edge ({u}, {v}) not in canonical u < v order")
+        return Graph(n, pairs)
 
 
 def write_positions(pl: GeometricPlacement, path) -> None:
@@ -119,7 +126,7 @@ def write_positions(pl: GeometricPlacement, path) -> None:
 
 
 def read_positions(path) -> tuple:
-    with open(path) as fh:
+    with _reading(path, "position") as fh:
         return tuple(
             tuple(float(c) for c in ln.split())
             for ln in fh
@@ -147,32 +154,29 @@ def read_formula(path) -> CnfFormula:
     """Malformed content raises ValueError with a message naming the path."""
     header = None
     clauses = []
-    try:
-        with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln or ln.startswith("c"):
-                    continue
-                parts = ln.split()
-                if ln.startswith("p"):
-                    if header is not None:
-                        raise ValueError("duplicate header")
-                    if len(parts) != 4 or parts[1] != "nae3sat":
-                        raise ValueError("header must be 'p nae3sat t m'")
-                    header = _integers(ln, parts[2:])
-                    continue
-                lits = _integers(ln, parts)
-                if 0 in lits:
-                    raise ValueError("literal 0 is not allowed")
-                clauses.append(tuple((abs(a), a > 0) for a in lits))
+    with _reading(path, "formula") as fh:
+        for ln in fh:
+            ln = ln.strip()
+            if not ln or ln.startswith("c"):
+                continue
+            parts = ln.split()
+            if ln.startswith("p"):
+                if header is not None:
+                    raise ValueError("duplicate header")
+                if len(parts) != 4 or parts[1] != "nae3sat":
+                    raise ValueError("header must be 'p nae3sat t m'")
+                header = _integers(ln, parts[2:])
+                continue
+            lits = _integers(ln, parts)
+            if 0 in lits:
+                raise ValueError("literal 0 is not allowed")
+            clauses.append(tuple((abs(a), a > 0) for a in lits))
         if header is None:
             raise ValueError("missing 'p nae3sat t m' header")
         t, m = header
         if len(clauses) != m:
             raise ValueError(f"header promises {m} clauses, file has {len(clauses)}")
         return CnfFormula(t, tuple(clauses))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_roles(gg: GadgetGraph, path) -> None:
@@ -200,10 +204,10 @@ def read_roles(path) -> tuple:
             return text
 
     roles = []
-    with open(path, newline="") as fh:
+    with _reading(path, "column", newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
             if int(row["node"]) != i:
-                raise ValueError(f"{path}: node column must count up from 0")
+                raise ValueError("node column must count up from 0")
             roles.append(Role(row["role"], parse(row["param1"]), parse(row["param2"])))
     return tuple(roles)
 
@@ -291,19 +295,16 @@ def write_records(records, path, format: str = "csv") -> None:
 
 
 def read_records(path, format: str = "csv"):
+    if format not in ("csv", "structured"):
+        raise ValueError("format must be 'csv' or 'structured'")
     try:
-        if format == "csv":
-            with opened(path, "r", newline="") as fh:
-                reader = csv.DictReader(fh)
+        with _reading(path, "record", newline="") as fh:
+            if format == "csv":
                 return [
                     SweepRecord(**{c: _uncell(c, row[c]) for c in _COLUMNS})
-                    for row in reader
+                    for row in csv.DictReader(fh)
                 ]
-        if format == "structured":
-            with opened(path, "r") as fh:
-                payload = json.load(fh)
-            return [SweepRecord(**d) for d in payload["records"]]
-        raise ValueError("format must be 'csv' or 'structured'")
+            return [SweepRecord(**d) for d in _json_object(fh.read(), "records file")["records"]]
     except OSError as exc:
         raise OSError(f"cannot read records from {path}: {exc}") from exc
 
@@ -312,19 +313,19 @@ def read_node_set(path) -> frozenset:
     """Whitespace-separated nonnegative node indices (the cascade seed-set file).
 
     Malformed content raises ValueError with a message naming the path."""
-    with open(path) as fh:
+    with _reading(path, "node set") as fh:
         tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty node set")
-    nodes = set()
-    for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"{path}: node index {tok!r} is not an integer") from None
-        if v < 0:
-            raise ValueError(f"{path}: node index {v} is negative")
-        nodes.add(v)
+        if not tokens:
+            raise ValueError("empty node set")
+        nodes = set()
+        for tok in tokens:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"node index {tok!r} is not an integer") from None
+            if v < 0:
+                raise ValueError(f"node index {v} is negative")
+            nodes.add(v)
     return frozenset(nodes)
 
 
@@ -344,14 +345,8 @@ def read_consensus_config(path):
 
     Malformed content raises ValueError with a message naming the path.
     """
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: consensus config must be a JSON object")
-    try:
+    with _reading(path, "config") as fh:
+        payload = _json_object(fh.read(), "consensus config")
         initial = [_real(v, "initial value") for v in payload["initial_values"]]
         adversaries = {}
         for entry in payload.get("adversaries", []):
@@ -379,10 +374,6 @@ def read_consensus_config(path):
             adversary_strategy=adversaries,
             rng_seed=seed,
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing config key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     return config, initial
 
 
@@ -422,14 +413,8 @@ def read_sweep_spec(path) -> SweepSpec:
     optionally stream, offsets, properties, exact_limit.
 
     Malformed content raises ValueError with a message naming the path."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: sweep spec must be a JSON object")
-    try:
+    with _reading(path, "spec") as fh:
+        payload = _json_object(fh.read(), "sweep spec")
         family = payload["family"]
         if "n" in payload and "l" in payload:
             raise ValueError("give n or l, not both")
@@ -453,7 +438,3 @@ def read_sweep_spec(path) -> SweepSpec:
             base_seed=seed,
             **kwargs,
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing spec key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc

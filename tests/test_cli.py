@@ -15,7 +15,7 @@ from netrobust.generators import ER_NODE_LIMIT
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
-from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS, HUGE_GRAPHS
+from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS, HUGE_GRAPHS, write_input
 
 
 @pytest.fixture
@@ -114,11 +114,12 @@ def test_missing_file_is_a_plain_error(capsys):
         ("float.json", '{"n": 3, "edges": [[0, 1.0], [1, 2]]}'),
         ("string.json", '{"n": "3", "edges": [[0, 1], [1, 2]]}'),
         ("token.edges", "3 1\n0 x\n"),
+        ("image.png", b"\x89PNG\r\n\x1a\n"),
     ],
 )
 def test_hostile_graph_file_is_a_plain_error(tmp_path, capsys, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    write_input(p, text)
     assert main(["robustness", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
@@ -151,11 +152,12 @@ def test_large_edgeless_graph_under_the_guard_is_decided(tmp_path, capsys):
         ("ba", {"family": "preferential", "n": "10"}),
         ("er", {"family": "erdos_renyi", "n": 8, "stream": 1.5}),
         ("ba", {"family": "preferential", "n": 10, "exact_limit": 22.5}),
+        ("er", b'{"family": "erd\xf6s_renyi", "n": 8, "r": 2, "trials": 2, "seed": 0}'),
     ],
 )
 def test_hostile_sweep_spec_is_a_plain_error(tmp_path, capsys, tag, spec):
     p = tmp_path / "spec.json"
-    p.write_text(json.dumps({**spec, "r": 2, "trials": 2, "seed": 0}))
+    write_input(p, spec if isinstance(spec, bytes) else json.dumps({**spec, "r": 2, "trials": 2, "seed": 0}))
     assert main(["sweep", tag, "--spec", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
@@ -180,7 +182,7 @@ def test_fractional_sweep_integers_are_a_plain_error(tmp_path, capsys, tag, spec
 @pytest.mark.parametrize("text", [text for text, _ in HOSTILE_FORMULAS])
 def test_hostile_formula_is_a_plain_error(tmp_path, capsys, text):
     p = tmp_path / "phi.cnf"
-    p.write_text(text)
+    write_input(p, text)
     assert main(["gadget", "--formula", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
@@ -189,16 +191,16 @@ def test_hostile_formula_is_a_plain_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS])
 def test_hostile_consensus_config_is_a_plain_error(gap8, tmp_path, capsys, text):
     p = tmp_path / "consensus.json"
-    p.write_text(text)
+    write_input(p, text)
     assert main(["consensus", "--graph", gap8, "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ["0 x\n", "-1\n"])
+@pytest.mark.parametrize("text", ["0 x\n", "-1\n", b"0 1 \x892\n"])
 def test_hostile_seed_set_is_a_plain_error(gap8, tmp_path, capsys, text):
     p = tmp_path / "seeds.txt"
-    p.write_text(text)
+    write_input(p, text)
     assert main(["cascade", "--graph", gap8, "--seed-set", str(p), "--threshold", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from netrobust import dynamics
 from netrobust.dynamics import (
-    _filter,
     _neighbor_blocks,
     CascadeState,
     Constant,
@@ -434,7 +433,6 @@ _REPEATS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
 def test_filter_matches_the_reference(own, vals, f, mode):
     expected = [repr(x) for x in reference_wmsr_filter(own, vals, f, mode)]
     assert [repr(x) for x in wmsr_filter(own, vals, f, mode)] == expected
-    assert [repr(x) for x in _filter(own, list(vals), f, mode)] == expected
 
 
 def test_simulate_matches_exact_for_every_m_and_r():

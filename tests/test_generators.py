@@ -100,26 +100,17 @@ def test_pair_uniforms_coupling():
 def test_pair_mask_rows_equal_the_checked_edge_build(n, p):
     # n straddles byte and word boundaries of the packed rows
     mask = pair_uniforms(n, rng_for(RngSeed(n, 7))) < p
-    iu, ju = pair_indices(n)
+    iu, ju = np.triu_indices(n, 1)
     sel = np.flatnonzero(mask)
     assert graph_from_pair_mask(n, mask) == Graph(n, zip(iu[sel].tolist(), ju[sel].tolist()))
 
 
-def test_pair_index_cache_keeps_the_recent_sizes_within_its_budget(monkeypatch):
-    monkeypatch.setattr(generators, "_TRIU_CACHE", {})
-    # the benchmark's sizes: er_sweep's 200 and 1000, the cascades' 300-1000
-    for n in (200, 1000, 300, 500, 700, 1000, 10):
-        pair_indices(n)
-    assert sorted(generators._TRIU_CACHE) == [10, 200, 300, 500, 700, 1000]
-    assert pair_indices(1000)[0] is generators._TRIU_CACHE[1000][0]
-
-    monkeypatch.setattr(generators, "_TRIU_CACHE", {})
-    monkeypatch.setattr(generators, "_TRIU_BUDGET", 100)
-    for n in (10, 8, 10, 9):  # 45, 28 and 36 pairs: 8, the least recent, goes
-        pair_indices(n)
-    assert list(generators._TRIU_CACHE) == [10, 9]
-    iu, ju = pair_indices(15)  # 105 pairs, over the budget alone: not kept
-    assert len(iu) == 105 and list(generators._TRIU_CACHE) == [10, 9]
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 64, 65, 1000, 2897])
+def test_pair_ends_decode_every_position_as_triu_indices_does(n):
+    iu, ju = np.triu_indices(n, 1)
+    u, v = generators._pair_ends(n, np.arange(len(iu)))
+    assert np.array_equal(u, iu) and np.array_equal(v, ju)
+    assert all(np.array_equal(a, b) for a, b in zip(pair_indices(n), (iu, ju)))
 
 
 def test_a_large_er_graph_leaves_no_index_arrays_behind():
@@ -130,7 +121,6 @@ def test_a_large_er_graph_leaves_no_index_arrays_behind():
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
-    assert 4000 not in generators._TRIU_CACHE
 
 
 def test_er_node_guard_is_inclusive_and_raised_before_sampling(monkeypatch):

@@ -1,11 +1,14 @@
 """Round-trips and rejection cases for every on-disk format."""
 
+import ast
 import importlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import netrobust
 from netrobust.dynamics import Constant, ConsensusConfig, Ramp, UniformRandom, run_consensus
 from netrobust.generators import GeometricPlacement, RngSeed
 from netrobust.graph import Graph, complete, counterexample, path as path_graph
@@ -17,6 +20,7 @@ from netrobust.io import (
     read_graph,
     read_node_set,
     read_positions,
+    read_records,
     read_roles,
     read_sweep_spec,
     write_cascade_trace,
@@ -202,13 +206,22 @@ HOSTILE_FORMULAS = [
     ("p nae3sat 3 1\n1 2\n", "exactly 3 literals"),
     ("p nae3sat 3 1\n1 -4 2\n", "variable index out of range"),
     ("p nae3sat 0 0\n", "num_variables must be positive"),
+    (b"c \xe9nonc\xe9\np nae3sat 3 1\n1 2 3\n", "can't decode byte 0xe9"),
 ]
+
+
+def write_input(p, content):
+    """str is written as text; bytes as given, for files that are not UTF-8."""
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    else:
+        p.write_text(content)
 
 
 @pytest.mark.parametrize("text, message", HOSTILE_FORMULAS)
 def test_formula_errors_name_the_path(tmp_path, text, message):
     p = tmp_path / "phi.cnf"
-    p.write_text(text)
+    write_input(p, text)
     with pytest.raises(ValueError, match=message) as exc:
         read_formula(p)
     assert str(exc.value).startswith(f"{p}: ")
@@ -360,13 +373,14 @@ HOSTILE_CONSENSUS_CONFIGS = [
     ('{"f_parameter": 1, "initial_values": [1, 2], "max_rounds": 3.7}', "max_rounds must be an integer, got 3.7"),
     ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1.2}', "seed must be an integer, got 1.2"),
     ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1, "stream": "2"}', "stream must be an integer, got '2'"),
+    (b'{"f_parameter": 1, "initial_values": [1, 2], "filter_mode": "strict \xe9"}', "can't decode byte 0xe9"),
 ]
 
 
 @pytest.mark.parametrize("text, message", HOSTILE_CONSENSUS_CONFIGS)
 def test_consensus_config_errors_name_the_path(tmp_path, text, message):
     p = tmp_path / "consensus.json"
-    p.write_text(text)
+    write_input(p, text)
     with pytest.raises(ValueError, match=message) as exc:
         read_consensus_config(p)
     assert str(exc.value).startswith(f"{p}: ")
@@ -485,3 +499,47 @@ def test_sweep_spec_errors_name_the_path(tmp_path, text, message):
     with pytest.raises(ValueError, match=message) as exc:
         read_sweep_spec(p)
     assert str(exc.value).startswith(f"{p}: ")
+
+
+# --- the reader boundary -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_positions, "0.5\n0.x\n", "could not convert string to float: '0.x'"),
+        (read_roles, "node,role\n0,true_block\n", "missing column key 'param1'"),
+        (
+            read_records,
+            "family,n_or_l,r,param,property,estimate,ci_halfwidth,trials,seed_lo,seed_hi,flags\n"
+            "erdos_renyi,20,2,0.15,r_robust,high,0.08,100,0,99,x=-2.0\n",
+            "could not convert string to float: 'high'",
+        ),
+    ],
+)
+def test_reader_content_errors_name_the_path(tmp_path, reader, text, message):
+    p = tmp_path / "input"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        reader(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+def _open_calls(node, where):
+    """Names of the functions that call open, bare or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
+                yield where
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _open_calls(child, f"{where}.{child.name}" if named else where)
+
+
+def test_every_file_is_opened_through_io_opened():
+    # One opener: readers get their path-naming errors from io._reading, and
+    # an already-open file passes through wherever the package takes a path.
+    calls = []
+    for source in sorted(Path(netrobust.__file__).parent.glob("*.py")):
+        calls += _open_calls(ast.parse(source.read_text(), str(source)), source.stem)
+    assert calls == ["io.opened"]
