@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 
-from .graph import Graph, is_connected, iter_bits, min_degree
+from .graph import Graph, _spread, is_connected, iter_bits, min_degree
 
 _log = logging.getLogger("netrobust.connectivity")
 
@@ -157,20 +157,6 @@ class _SplitFlow:
         return flow
 
 
-def _terminal_pairs(g: Graph):
-    """Pairs covering some minimum cut: a min-degree node against its
-    non-neighbors, plus non-adjacent pairs among its neighbors."""
-    s = min(range(g.n), key=g.degree)
-    nbrs = list(iter_bits(g.adj[s]))
-    for t in range(g.n):
-        if t != s and not g.has_edge(s, t):
-            yield s, t
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
-                yield x, y
-
-
 def _has_articulation_point(g: Graph) -> bool:
     """Depth-first lowpoint scan on the bit rows; assumes g is connected,
     n >= 3.
@@ -224,8 +210,11 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
       every graph with delta <= 2 is settled here);
     - a complete graph has kappa = n - 1.
 
-    Only then are the terminal pairs flowed, each up to the smallest flow
-    so far; exact flows stop early once one reaches the scan's bound 2.
+    Only then are the Esfahanian-Hakimi terminal pairs flowed, each up to
+    best, the smallest flow so far; exact flows stop at the scan's bound 2.
+    linked holds the nodes that no set of fewer than best nodes cuts from s.
+    A non-neighbour of s with best linked neighbours is linked too, as such
+    a set misses one of them: this contagion spares most of the s-t flows.
     """
     if not is_connected(g):
         return 0, "disconnected"
@@ -238,23 +227,39 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
     if k == g.n - 1:
         return k, "complete"
     net = _SplitFlow(g)
-    best = k
-    for u, v in _terminal_pairs(g):
+    adj, s = g.adj, min(range(g.n), key=g.degree)
+    best, closed, linked = k, 0, adj[s] | 1 << s
+
+    def pairs():  # reads best as the loop below lowers it
+        nonlocal closed, linked
+        while True:
+            for newly in _spread(adj, linked, best):
+                closed += newly.bit_count()
+                linked |= newly
+            bit = ~linked & linked + 1  # the lowest unlinked node
+            if bit >> g.n:
+                break
+            linked |= bit
+            yield s, bit.bit_length() - 1
+        for x in iter_bits(adj[s]):
+            for y in iter_bits(adj[s] & ~adj[x] >> x + 1 << x + 1):
+                yield x, y
+
+    for u, v in pairs():
         flow = net.max_flow(u, v, best)
         if flow < best:
             best = flow
             if not exact or best == 2:
                 break
-    return best, f"flowed pairs={net.calls}, seeded={net.seeded}, augmented={net.augmented}"
+    return best, f"flowed pairs={net.calls}, closed={closed}, seeded={net.seeded}, augmented={net.augmented}"
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Largest k such that every node pair is joined by k node-disjoint paths.
 
     n-1 for complete graphs, 0 iff disconnected. Decided by _ladder with
-    k = min degree: most graphs are settled by a certificate (disconnected,
-    cut vertex, delta <= 2, complete) without any flow. Each call logs what
-    decided it at DEBUG level on "netrobust.connectivity".
+    k = min degree; each call logs what decided it at DEBUG level on
+    "netrobust.connectivity".
     """
     if g.n < 2:
         raise ValueError("connectivity undefined")

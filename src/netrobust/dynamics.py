@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ResourceGuardError
-from .graph import Graph, _node_mask, iter_bits, set_of
+from .graph import Graph, _node_mask, _spread, iter_bits, set_of
 from .generators import rng_for
 from .robustness import check_subsets_reachable
 
@@ -240,30 +240,6 @@ class CascadeState:
     def __post_init__(self):
         if self.threshold < 1:
             raise ValueError("threshold must be positive")
-
-
-def _spread(adj: list, imask: int, r: int):
-    """Masks of the nodes newly infected in each round of threshold-r contagion
-    from imask, up to the fixpoint. A round tests only uninfected neighbors of the
-    nodes infected the round before (the seeds, at first): no other count rose."""
-    newly = imask
-    while True:
-        frontier = 0
-        while newly:
-            low = newly & -newly
-            newly ^= low
-            frontier |= adj[low.bit_length() - 1]
-        newly = 0
-        fresh = frontier & ~imask
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            if (adj[low.bit_length() - 1] & imask).bit_count() >= r:
-                newly |= low
-        if not newly:
-            return
-        imask |= newly
-        yield newly
 
 
 def cascade_step(g: Graph, state: CascadeState) -> CascadeState:

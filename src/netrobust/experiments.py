@@ -13,6 +13,7 @@ from .connectivity import connectivity_at_least, vertex_connectivity
 from .generators import (
     RngSeed,
     _er_guard,
+    _pa_guard,
     _pair_ends,
     gen_geometric,
     gen_preferential,
@@ -288,6 +289,7 @@ def run_ba_trials(spec: SweepSpec):
     if spec.family != "preferential":
         raise ValueError("spec family must be preferential")
     n = int(spec.n_or_l)
+    _pa_guard(n)
     if "r_robust" in spec.properties and n > spec.exact_limit:
         raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
     counts = {prop: 0 for prop in spec.properties}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,11 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(n * (n - 1) // 2)
 
 
-# Guard for G(n, p): n(n-1)/2 float64 uniforms and a boolean mask over them.
+# Guards for G(n, p), which draws n(n-1)/2 float64 uniforms and a boolean mask
+# over them, and for preferential attachment, which keeps a degree list of n
+# entries and rebuilds its cumulative weights for every new node.
 ER_NODE_LIMIT = 5000
+PA_NODE_LIMIT = 5000
 
 
 def _er_guard(n: int) -> None:
@@ -60,6 +64,13 @@ def _er_guard(n: int) -> None:
         raise ResourceGuardError(
             f"G(n, p) draws one uniform per node pair; n={n} exceeds the guard "
             f"ER_NODE_LIMIT = {ER_NODE_LIMIT}"
+        )
+
+
+def _pa_guard(n: int) -> None:
+    if n > PA_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"preferential attachment: n={n} exceeds the guard PA_NODE_LIMIT = {PA_NODE_LIMIT}"
         )
 
 
@@ -188,6 +199,7 @@ def gen_preferential(
     """
     if r < 1:
         raise ValueError("r must be positive")
+    _pa_guard(n)
     if seed_graph is None:
         seed_graph = complete(2 * r - 1)
     elif verify_seed_graph:
@@ -202,11 +214,8 @@ def gen_preferential(
     edges = list(seed_graph.edges())
     degrees = [seed_graph.degree(v) for v in range(n0)] + [0] * (n - n0)
     for new in range(n0, n):
-        cum = []
-        total = 0
-        for v in range(new):
-            total += degrees[v]
-            cum.append(total)
+        cum = list(itertools.accumulate(degrees[:new]))
+        total = cum[-1]
         if 0 < sum(1 for v in range(new) if degrees[v] > 0) < r:
             raise ValueError("seed graph cannot supply r distinct degree-weighted targets")
         chosen: set = set()
@@ -215,8 +224,7 @@ def gen_preferential(
                 v = int(rng.integers(new))
             else:
                 v = bisect.bisect_right(cum, rng.random() * total)
-            if v not in chosen:
-                chosen.add(v)
+            chosen.add(v)
         for v in sorted(chosen):
             edges.append((v, new))
             degrees[v] += 1

@@ -129,6 +129,30 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _component(g, 0) == g.full_mask()
 
 
+def _spread(adj: list, imask: int, r: int):
+    """Masks of the nodes newly infected in each round of threshold-r contagion
+    from imask, up to the fixpoint. A round tests only uninfected neighbors of the
+    nodes infected the round before (the seeds, at first): no other count rose."""
+    newly = imask
+    while True:
+        frontier = 0
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            frontier |= adj[low.bit_length() - 1]
+        newly = 0
+        fresh = frontier & ~imask
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            if (adj[low.bit_length() - 1] & imask).bit_count() >= r:
+                newly |= low
+        if not newly:
+            return
+        imask |= newly
+        yield newly
+
+
 def min_degree(g: Graph) -> int:
     """Smallest node degree; errors on the empty graph."""
     if g.n == 0:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import locale
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
-from netrobust.generators import ER_NODE_LIMIT
+from netrobust.generators import ER_NODE_LIMIT, PA_NODE_LIMIT
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
@@ -349,6 +350,27 @@ def test_er_size_guard_refuses_before_sampling(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ba_size_guard_refuses_before_building(tmp_path, capsys):
+    # n = 10**8 would first allocate a degree list of 10**8 entries
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "family": "preferential", "n": PA_NODE_LIMIT + 1, "r": 2, "trials": 1, "seed": 0,
+        "properties": ["r_robust", "min_degree_r"],
+    }))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "ba", "--n", "100000000", "--r", "2", "--out", str(out)]) == 2
+        assert "n=100000000 exceeds the guard PA_NODE_LIMIT = 5000" in capsys.readouterr().err
+        assert main(["sweep", "ba", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "n=5001 exceeds the guard PA_NODE_LIMIT" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
 def test_help_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -456,25 +478,55 @@ def _graph_texts(draw):
     return "\n".join(" ".join(line) for line in draw(st.lists(st.lists(_SMALL_TOKEN, max_size=3), max_size=8)))
 
 
-def _run_on_graph_text(text, args) -> int:
+# Bytes that are not UTF-8 on their own: continuation bytes with no lead,
+# lead bytes cut short, bytes UTF-8 never uses, and an encoded surrogate.
+_RAW_BYTES = st.sampled_from([b"\x80", b"\xbf", b"\xc3", b"\xe9", b"\xf0\x9f", b"\xfe", b"\xff", b"\xed\xa0\x80"])
+
+
+@st.composite
+def _encoded(draw, texts):
+    """A text as UTF-8 bytes, with raw bytes put in at random places one
+    time in two. Raw bytes that meet may still form a valid character."""
+    data = draw(texts).encode()
+    if draw(st.booleans()):
+        for raw in draw(st.lists(_RAW_BYTES, min_size=1, max_size=3)):
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + raw + data[at:]
+    return data
+
+
+def _exits_cleanly(data: bytes, path: Path, argv) -> bool:
+    """main on a file at path holding data exits 0, 1 or 2, and exits 1 with
+    the path named when data is not text in the locale's encoding."""
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    try:
+        data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return code == 1 and err.getvalue().startswith(f"error: {path}: ")
+    return code in (0, 1, 2)
+
+
+def _graph_exits_cleanly(data, args) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         graph = Path(tmp, "g.txt")
-        graph.write_text(text, encoding="utf-8")
-        return _run_quietly([args[0], str(graph), *args[1:]])
+        return _exits_cleanly(data, graph, [args[0], str(graph), *args[1:]])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_graph_texts(), st.none() | st.integers(-1, 6))
-def test_fuzzed_robustness_graph_exits_cleanly(text, r):
+@given(_encoded(_graph_texts()), st.none() | st.integers(-1, 6))
+def test_fuzzed_robustness_graph_exits_cleanly(data, r):
     args = ["robustness"] if r is None else ["robustness", "--r", str(r)]
-    assert _run_on_graph_text(text, args) in (0, 1, 2)
+    assert _graph_exits_cleanly(data, args)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_graph_texts(), st.integers(-1, 4), st.booleans())
-def test_fuzzed_cut_graph_exits_cleanly(text, rho, relaxed):
+@given(_encoded(_graph_texts()), st.integers(-1, 4), st.booleans())
+def test_fuzzed_cut_graph_exits_cleanly(data, rho, relaxed):
     args = ["cut", "--rho", str(rho)] + (["--relaxed"] if relaxed else [])
-    assert _run_on_graph_text(text, args) in (0, 1, 2)
+    assert _graph_exits_cleanly(data, args)
 
 
 _LITERAL = st.integers(1, 3).flatmap(lambda v: st.sampled_from([str(v), str(-v)]))
@@ -495,14 +547,13 @@ def _formula_texts(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_formula_texts(), st.sampled_from(["g", "h", "grho", "hrho"]), st.integers(0, 2))
-def test_fuzzed_formula_exits_cleanly(text, build, rho):
+@given(_encoded(_formula_texts()), st.sampled_from(["g", "h", "grho", "hrho"]), st.integers(0, 2))
+def test_fuzzed_formula_exits_cleanly(data, build, rho):
     with tempfile.TemporaryDirectory() as tmp:
         formula = Path(tmp, "phi.cnf")
-        formula.write_text(text, encoding="utf-8")
         argv = ["gadget", "--formula", str(formula), "--build", build, "--rho", str(rho),
                 "--out", str(Path(tmp, "g.edges"))]
-        assert _run_quietly(argv) in (0, 1, 2)
+        assert _exits_cleanly(data, formula, argv)
 
 
 # --- fuzzing the generator and sweep commands ---------------------------------------
@@ -536,7 +587,7 @@ _INT_ARG = st.integers(-3, 40).map(str) | st.sampled_from(["1.5", "x", "", str(2
         "--format": st.sampled_from(["edgelist", "json"]),
     }),
 )
-@example("ba", {"--n": str(2**64), "--r": "1"})  # overflows the degree list
+@example("ba", {"--n": str(2**64), "--r": "1"})  # refused by the node guard
 def test_fuzzed_gen_exits_cleanly(family, options):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["gen", family, "--out", str(Path(tmp, "g.out")), "--positions-out", str(Path(tmp, "pos.csv"))]

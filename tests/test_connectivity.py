@@ -347,21 +347,25 @@ def cliques_sharing_a_node(k: int) -> Graph:
     return Graph(2 * k - 1, edges + [(u + k - 1, v + k - 1) for u, v in edges])
 
 
+def glued(rng, a, b, shared, p):
+    """Two G(a, p) and G(b, p) halves sharing `shared` nodes: a cut of that
+    size, often below the minimum degree."""
+    left = gen_erdos_renyi(a, p, rng.randrange(2**32))
+    right = gen_erdos_renyi(b, p, rng.randrange(2**32))
+    shift = [(u + a - shared, v + a - shared) for u, v in right.edges()]
+    return Graph(a + b - shared, sorted(set(left.edges()) | set(shift)))
+
+
 def test_cut_vertex_settles_min_degree_three_and_more(monkeypatch):
     rng = random.Random(9)
-    glued = []
+    joined = []
     for _ in range(20):
-        # two dense random halves glued at one node
-        a, b = rng.randint(5, 9), rng.randint(5, 9)
-        left = gen_erdos_renyi(a, 0.9, rng.randrange(2**32))
-        right = gen_erdos_renyi(b, 0.9, rng.randrange(2**32))
-        shift = [(u + a - 1, v + a - 1) for u, v in right.edges()]
-        g = Graph(a + b - 1, sorted(set(left.edges()) | set(shift)))
+        g = glued(rng, rng.randint(5, 9), rng.randint(5, 9), 1, 0.9)
         if is_connected(g) and min_degree(g) >= 3:
-            glued.append(g)
-    assert len(glued) >= 10
+            joined.append(g)
+    assert len(joined) >= 10
     monkeypatch.setattr(connectivity, "_SplitFlow", _NoFlow)
-    for g in [cliques_sharing_a_node(4), cliques_sharing_a_node(6), cliques_joined_by_a_bridge(5)] + glued:
+    for g in [cliques_sharing_a_node(4), cliques_sharing_a_node(6), cliques_joined_by_a_bridge(5)] + joined:
         assert min_degree(g) >= 3 and has_cut_vertex(g)
         assert vertex_connectivity(g) == 1
         assert connectivity_at_least(g, 1)
@@ -372,16 +376,12 @@ def test_min_degree_three_with_a_two_node_cut_needs_the_flow():
     # Two dense random halves glued along two nodes: no cut vertex, but a
     # two-node cut below the minimum degree, which only the flows can find.
     rng = random.Random(13)
-    glued = []
-    while len(glued) < 12:
-        a, b = rng.randint(5, 7), rng.randint(5, 7)
-        left = gen_erdos_renyi(a, 0.85, rng.randrange(2**32))
-        right = gen_erdos_renyi(b, 0.85, rng.randrange(2**32))
-        shift = [(u + a - 2, v + a - 2) for u, v in right.edges()]
-        g = Graph(a + b - 2, sorted(set(left.edges()) | set(shift)))
+    joined = []
+    while len(joined) < 12:
+        g = glued(rng, rng.randint(5, 7), rng.randint(5, 7), 2, 0.85)
         if min_degree(g) >= 3 and brute_connectivity(g) == 2:
-            glued.append(g)
-    for g in glued:
+            joined.append(g)
+    for g in joined:
         assert vertex_connectivity(g) == 2, g.edges()
         assert connectivity_at_least(g, 2)
         assert not connectivity_at_least(g, 3)
@@ -406,7 +406,8 @@ def cube() -> Graph:
     return Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])
 
 
-def test_flows_run_only_past_the_certificates(monkeypatch):
+def count_networks(monkeypatch) -> list:
+    """The list every _SplitFlow the ladder builds from now on is added to."""
     made = []
 
     class Counted(_SplitFlow):
@@ -415,6 +416,11 @@ def test_flows_run_only_past_the_certificates(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(connectivity, "_SplitFlow", Counted)
+    return made
+
+
+def test_flows_run_only_past_the_certificates(monkeypatch):
+    made = count_networks(monkeypatch)
     assert vertex_connectivity(complete(7)) == 6
     assert connectivity_at_least(counterexample(8), 2)
     assert not made
@@ -422,6 +428,127 @@ def test_flows_run_only_past_the_certificates(monkeypatch):
     assert not connectivity_at_least(cube(), 4)
     assert connectivity_at_least(cube(), 3)
     assert len(made) == 2  # the (cube, 4) call stops at its degree check
+
+
+# --- the closure ladder -------------------------------------------------------
+
+
+def pairwise_connectivity(g: Graph) -> int:
+    """Esfahanian and Hakimi without shortcuts: a min-degree node s against
+    every non-neighbour, and every non-adjacent pair of its neighbours, each
+    flowed up to the minimum degree on a _SplitFlow."""
+    if not is_connected(g):
+        return 0
+    delta = min_degree(g)
+    if delta == g.n - 1:
+        return delta
+    s = min(range(g.n), key=g.degree)
+    nbrs = list(iter_bits(g.adj[s]))
+    pairs = [(s, t) for t in range(g.n) if t != s and not g.has_edge(s, t)]
+    pairs += [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1:] if not g.has_edge(x, y)]
+    net = _SplitFlow(g)
+    return min(net.max_flow(u, v, delta) for u, v in pairs)
+
+
+def assert_ladder_matches(g, kappa):
+    assert vertex_connectivity(g) == kappa, g.edges()
+    for k in range(min_degree(g) + 2):
+        assert connectivity_at_least(g, k) == (kappa >= k), (g.edges(), k)
+
+
+def test_closure_ladder_matches_brute_force_at_min_degree_three_and_more():
+    rng = random.Random(14)
+    kappas = []
+    while len(kappas) < 60:
+        n = rng.randint(8, 12)
+        if rng.random() < 0.3:
+            g = glued(rng, n // 2 + 2, n - n // 2, rng.randint(1, 3), 0.8)
+        else:
+            g = gen_erdos_renyi(n, rng.choice((0.35, 0.5, 0.65)), rng.randrange(2**32))
+        if min_degree(g) < 3:
+            continue
+        kappas.append(brute_connectivity(g))
+        assert_ladder_matches(g, kappas[-1])
+    assert {1, 2, 3, 4} <= set(kappas)
+
+
+def test_closure_ladder_matches_every_terminal_pair_flowed():
+    rng = random.Random(15)
+    drops = kappas = 0
+    for _ in range(40):
+        n = rng.randint(20, 60)
+        if rng.random() < 0.5:
+            c = rng.choice((1.5, 2.5, 4.0))
+            g = gen_erdos_renyi(n, min(1.0, c * math.log(n) / n), rng.randrange(2**32))
+        else:
+            g = glued(rng, n // 2 + 2, n - n // 2, rng.randint(2, 4), rng.choice((0.3, 0.5)))
+        kappa = pairwise_connectivity(g)
+        assert_ladder_matches(g, kappa)
+        drops += 2 < kappa < min_degree(g)
+        kappas |= 1 << kappa
+    assert drops >= 3 and kappas.bit_count() >= 5
+
+
+def best_drops_after_closure() -> Graph:
+    """Node 0 sees 1..4, which with 5 and 6 form a 6-clique; 7..13 form a
+    7-clique, joined to it only by 4-7, 5-8 and 6-9. Minimum degree 4,
+    connectivity 3."""
+    edges = [(0, v) for v in range(1, 5)]
+    edges += [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    edges += [(u, v) for u in range(7, 14) for v in range(u + 1, 14)]
+    return Graph(14, sorted(edges + [(4, 7), (5, 8), (6, 9)]))
+
+
+def test_best_drops_after_part_of_the_closure_ran(monkeypatch, caplog):
+    flows = []
+
+    class Recorded(_SplitFlow):
+        def max_flow(self, s, t, limit):
+            flows.append((s, t, limit, super().max_flow(s, t, limit)))
+            return flows[-1][-1]
+
+    monkeypatch.setattr(connectivity, "_SplitFlow", Recorded)
+    caplog.set_level(logging.DEBUG, logger="netrobust.connectivity")
+    g = best_drops_after_closure()
+    assert min_degree(g) == 4 and brute_connectivity(g) == 3
+    assert vertex_connectivity(g) == 3
+    # 5 and 6 have four linked neighbours among 1..4 and are closed at
+    # threshold 4; the flow to 7 comes out at 3, and at threshold 3 the
+    # closure settles 9..13 once 8 is flowed
+    assert flows == [(0, 7, 4, 3), (0, 8, 3, 3)]
+    assert caplog.records[-1].getMessage() == "connectivity 3: flowed pairs=2, closed=7, seeded=3, augmented=3"
+    flows.clear()
+    assert connectivity_at_least(g, 3) and not connectivity_at_least(g, 4)
+    assert flows == [(0, 7, 3, 3), (0, 8, 3, 3), (0, 7, 4, 3)]
+
+
+def min_degree_node_in_every_minimum_cut() -> Graph:
+    """Node 0 sees 1, 2 of the 5-clique 1..5 and 6, 7 of the 5-clique 6..10,
+    which are otherwise joined by 3-8 and 4-9 only: every 3-node cut holds 0,
+    so no flow from 0 finds one, and only a pair of its neighbours does."""
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8), (4, 9)]
+    edges += [(u + d, v + d) for d in (0, 5) for u in range(1, 6) for v in range(u + 1, 6)]
+    return Graph(11, sorted(edges))
+
+
+def test_a_pair_of_neighbours_finds_the_cut_through_s():
+    g = min_degree_node_in_every_minimum_cut()
+    assert min_degree(g) == g.degree(0) == 4 and brute_connectivity(g) == 3
+    assert all(_SplitFlow(g).max_flow(0, t, 4) == 4 for t in range(3, 11) if not g.has_edge(0, t))
+    assert_ladder_matches(g, 3)
+
+
+def test_closure_leaves_few_flows_near_the_threshold(monkeypatch):
+    made = count_networks(monkeypatch)
+    # p = (ln n + 2 ln ln n + 2) / n: a flow per non-neighbour of s would be
+    # 199-201 flows on each of these graphs
+    p = (math.log(200) + 2 * math.log(math.log(200)) + 2) / 200
+    for seed in (0, 1, 2, 3, 4, 6, 8, 9):
+        g = gen_erdos_renyi(200, p, seed)
+        assert min_degree(g) >= 3
+        made.clear()
+        assert connectivity_at_least(g, 3)
+        assert sum(net.calls for net in made) <= 30, seed
 
 
 def test_decision_is_logged(caplog):
@@ -438,8 +565,8 @@ def test_decision_is_logged(caplog):
         "connectivity 1: cut vertex",
         "connectivity 2: delta <= 2",
         "connectivity 4: complete",
-        "connectivity 5: flowed pairs=8, seeded=40, augmented=0",
-        "connectivity 3: flowed pairs=7, seeded=15, augmented=6",
+        "connectivity 5: flowed pairs=7, closed=1, seeded=35, augmented=0",
+        "connectivity 3: flowed pairs=6, closed=1, seeded=12, augmented=6",
     ]
 
 

@@ -18,7 +18,7 @@ from netrobust.experiments import (
     run_geometric_sweep,
     threshold_p,
 )
-from netrobust.generators import RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
+from netrobust.generators import PA_NODE_LIMIT, RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
 from netrobust.graph import min_degree
 from netrobust.io import read_records, write_records
 from netrobust.robustness import DEFAULT_NODE_LIMIT, SUBSET_ENUM_LIMIT
@@ -323,6 +323,16 @@ def test_ba_trials_evaluate_a_repeated_property_once(monkeypatch):
     single = run_ba_trials(SweepSpec("preferential", 12, 2, 6, RngSeed(3), properties=("r_robust",)))
     assert records[0] == records[2] == single[0]
     assert records[0].estimate == 1.0
+
+
+def test_ba_trials_raise_the_node_guard_before_the_first_trial(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(experiments, "gen_preferential", lambda *args: sampled.append(args))
+    # r_robust would also trip exact_limit, an input error, so the guard comes first
+    spec = SweepSpec("preferential", PA_NODE_LIMIT + 1, 2, 3, RngSeed(3), properties=("r_robust", "min_degree_r"))
+    with pytest.raises(ResourceGuardError, match=f"n={PA_NODE_LIMIT + 1} exceeds the guard PA_NODE_LIMIT"):
+        run_ba_trials(spec)
+    assert not sampled
 
 
 def test_geometric_sweep_evaluates_a_repeated_property_once(monkeypatch):

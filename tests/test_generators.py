@@ -12,6 +12,7 @@ from netrobust import generators
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import (
     ER_NODE_LIMIT,
+    PA_NODE_LIMIT,
     GeometricPlacement,
     RngSeed,
     gen_erdos_renyi,
@@ -229,6 +230,22 @@ def test_ba_validation_and_custom_seed_graph():
     # K_5 is 3-robust, so it passes verification as a 3-seed
     g = gen_preferential(9, 3, RngSeed(2), seed_graph=complete(5), verify_seed_graph=True)
     assert is_r_robust(g, 3)
+
+
+def test_ba_node_guard_is_inclusive_and_raised_before_building(monkeypatch):
+    monkeypatch.setattr(generators, "PA_NODE_LIMIT", 5)
+    assert gen_preferential(5, 2, RngSeed(0)).n == 5
+    with pytest.raises(ResourceGuardError, match="n=6 exceeds the guard PA_NODE_LIMIT = 5"):
+        gen_preferential(6, 2, RngSeed(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="PA_NODE_LIMIT"):
+            gen_preferential(10**8, 2, RngSeed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert PA_NODE_LIMIT == 5000
 
 
 def test_ba_determinism_across_calls():
