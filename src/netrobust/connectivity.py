@@ -157,42 +157,45 @@ class _SplitFlow:
         return flow
 
 
-def _has_articulation_point(g: Graph) -> bool:
-    """Depth-first lowpoint scan on the bit rows; assumes g is connected,
-    n >= 3.
+def _kappa_upto_two(g: Graph) -> int:
+    """min(kappa, 2) for n >= 3, from one depth-first lowpoint scan from node
+    0 on the bit rows.
 
-    The next child of v is the lowest bit of adj[v] & ~visited. An
+    The next child of v is the lowest bit of adj[v] & unvisited. An
     undirected DFS has no cross edges (a finished node would have reached
     every unvisited neighbour itself), so a subtree's lowpoint lies above
     its parent p iff the union of its rows meets the path above p. A
     non-root p is a cut vertex iff some child's subtree fails that test; the
     root is one iff it has a second child. Every step is a few bitmask
-    operations; no neighbour is visited one at a time.
+    operations; no neighbour is visited one at a time. With no cut vertex,
+    the scan has visited all of node 0's component, so a node left
+    unvisited means kappa = 0; a cut vertex costs one BFS to tell kappa = 0
+    from kappa = 1.
     """
     adj = g.adj
-    visited = 1
-    path = [0]
-    upto = [1]  # upto[i]: mask of path[0..i]
-    reach = [adj[0]]  # reach[i]: rows of path[i] and its finished descendants
-    while path:
-        fresh = adj[path[-1]] & ~visited
+    unvisited = g.full_mask() ^ 1
+    stack = []  # (node, bit, mask of its ancestors, reach) for each ancestor of v
+    v, vbit, up, reach = 0, 1, 0, adj[0]  # reach: rows of v and its finished descendants
+    while True:
+        fresh = adj[v] & unvisited
         if fresh:
-            if len(path) == 1 and visited != 1:
-                return True  # a second root child, which the first one's subtree missed
             bit = fresh & -fresh
-            visited |= bit
-            path.append(bit.bit_length() - 1)
-            upto.append(upto[-1] | bit)
-            reach.append(adj[path[-1]])
+            unvisited ^= bit
+            stack.append((v, vbit, up, reach))
+            v, vbit, up = bit.bit_length() - 1, bit, up | vbit
+            reach = adj[v]
             continue
-        path.pop()
-        upto.pop()
-        below = reach.pop()
-        if len(path) >= 2:
-            if not below & upto[-2]:
-                return True
-            reach[-1] |= below
-    return False
+        if not stack:
+            break  # node 0 is isolated
+        v, vbit, up, earlier = stack.pop()
+        if not up:  # back at the root: a second child is one the first one's subtree missed
+            if adj[0] & unvisited:
+                return int(is_connected(g))
+            break
+        if not reach & up:
+            return int(is_connected(g))
+        reach |= earlier
+    return 0 if unvisited else 2
 
 
 def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
@@ -204,10 +207,11 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
     short of k. how names what settled c: a certificate, or the flow work.
     The cheap certificates come first:
 
-    - a disconnected graph has kappa = 0;
-    - the bit-row articulation scan: a cut vertex gives kappa = 1, and
-      without one kappa >= 2, which meets k when k <= 2 (with k = delta,
-      every graph with delta <= 2 is settled here);
+    - for k <= 1, one BFS: a disconnected graph has kappa = 0, and a
+      connected one meets k;
+    - for k >= 2, the bit-row lowpoint scan gives min(kappa, 2), which
+      settles c when it is below 2 or when k = 2 (with k = delta, every
+      graph with delta <= 2 is settled here);
     - a complete graph has kappa = n - 1.
 
     Only then are the Esfahanian-Hakimi terminal pairs flowed, each up to
@@ -216,12 +220,11 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
     A non-neighbour of s with best linked neighbours is linked too, as such
     a set misses one of them: this contagion spares most of the s-t flows.
     """
-    if not is_connected(g):
-        return 0, "disconnected"
-    if k == 1:
-        return 1, "delta <= 2"
-    if _has_articulation_point(g):
-        return 1, "cut vertex"
+    if k <= 1:
+        return (1, "delta <= 2") if is_connected(g) else (0, "disconnected")
+    low = _kappa_upto_two(g)
+    if low < 2:
+        return low, ("disconnected", "cut vertex")[low]
     if k == 2:
         return 2, "delta <= 2"
     if k == g.n - 1:

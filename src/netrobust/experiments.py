@@ -13,11 +13,11 @@ from .connectivity import connectivity_at_least, vertex_connectivity
 from .generators import (
     RngSeed,
     _er_guard,
+    _graph_from_ends,
     _pa_guard,
     _pair_ends,
     gen_geometric,
     gen_preferential,
-    graph_from_pair_mask,
     pair_uniforms,
     rng_for,
 )
@@ -189,10 +189,10 @@ def run_er_sweep(spec: SweepSpec):
     Each trial visits the distinct p values in ascending order and does only
     the work monotonicity leaves undecided:
 
-    - Degrees are counted from the pair mask with numpy. Below minimum
-      degree r every property fails (r-robust implies r-connected implies
-      minimum degree r, and a node of degree < r is a singleton that is not
-      r-reachable), so no Graph is built.
+    - Degrees are counted, and Graphs built, from the ends of the pairs
+      present at the highest p. Below minimum degree r every property fails
+      (r-robust implies r-connected implies minimum degree r, and a node of
+      degree < r is a singleton that is not r-reachable), so no Graph is built.
     - A property that holds at some p holds at every higher p of the same
       trial, so it is counted there without being evaluated, and a Graph is
       built only while some property is still undecided.
@@ -229,7 +229,7 @@ def run_er_sweep(spec: SweepSpec):
                     undecided = [prop for prop in props if prop not in held]
                     g = None
                     if any(prop != "min_degree_r" for prop in undecided):
-                        g = graph_from_pair_mask(n, u < p)
+                        g = _graph_from_ends(n, iu_top[present], ju_top[present])
                     held += [
                         prop
                         for prop in undecided

@@ -88,13 +88,17 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graph_from_pair_mask(n: int, mask: np.ndarray) -> Graph:
-    """The graph on the pairs that mask selects, in pair_indices(n) order.
+    """The graph on the pairs that mask selects, in pair_indices(n) order."""
+    return _graph_from_ends(n, *_pair_ends(n, np.flatnonzero(mask)))
+
+
+def _graph_from_ends(n: int, iu: np.ndarray, ju: np.ndarray) -> Graph:
+    """The graph with the edges {iu[i], ju[i]}, none a loop; nothing is checked.
 
     Both directions of every edge are ORed into one packed buffer of
     n * ceil(n/8) bytes, node u's row being bytes u*width .. (u+1)*width - 1
     in little-endian bit order; each row then becomes one int.
     """
-    iu, ju = _pair_ends(n, np.flatnonzero(mask))
     src = np.concatenate((iu, ju))
     dst = np.concatenate((ju, iu))
     width = max(1, (n + 7) // 8)  # a nonzero step for the slicing below, also at n = 0
@@ -200,14 +204,13 @@ def gen_preferential(
     if r < 1:
         raise ValueError("r must be positive")
     _pa_guard(n)
-    if seed_graph is None:
-        seed_graph = complete(2 * r - 1)
-    elif verify_seed_graph:
-        if not is_r_robust(seed_graph, r):
-            raise ValueError("seed graph is not r-robust")
-    n0 = seed_graph.n
-    if n < n0:
+    if verify_seed_graph and seed_graph is not None and not is_r_robust(seed_graph, r):
+        raise ValueError("seed graph is not r-robust")
+    n0 = 2 * r - 1 if seed_graph is None else seed_graph.n
+    if n < n0:  # before K_{2r-1} is built, so n also bounds r
         raise ValueError("seed graph too small for n (need n >= seed graph size)")
+    if seed_graph is None:
+        seed_graph = complete(n0)
     if n0 < r:
         raise ValueError("seed graph too small to supply r distinct targets")
     rng = rng_for(seed)

@@ -371,6 +371,19 @@ def test_ba_size_guard_refuses_before_building(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_ba_huge_r_fails_before_building_the_seed_clique(tmp_path, capsys):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "ba", "--n", "5", "--r", "5000", "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "seed graph too small for n" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
 def test_help_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

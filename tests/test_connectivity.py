@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netrobust import connectivity
-from netrobust.connectivity import _has_articulation_point, _SplitFlow, connectivity_at_least, vertex_connectivity
+from netrobust.connectivity import _kappa_upto_two, _SplitFlow, connectivity_at_least, vertex_connectivity
 from netrobust.generators import gen_erdos_renyi
 from netrobust.graph import (
     Graph,
@@ -136,7 +136,7 @@ def cliques_joined_by_a_bridge(k: int) -> Graph:
 )
 def test_articulation_scan_on_fixed_shapes(g, cut_vertex):
     assert has_cut_vertex(g) == cut_vertex
-    assert _has_articulation_point(g) == cut_vertex
+    assert _kappa_upto_two(g) == (1 if cut_vertex else 2)
 
 
 def test_articulation_scan_matches_vertex_deletion():
@@ -154,8 +154,57 @@ def test_articulation_scan_matches_vertex_deletion():
             edges.add((min(u, v), max(u, v)))
         g = Graph(n, sorted(edges))
         verdicts.append(has_cut_vertex(g))
-        assert _has_articulation_point(g) == verdicts[-1], (n, sorted(edges))
+        assert _kappa_upto_two(g) == (1 if verdicts[-1] else 2), (n, sorted(edges))
     assert 100 < sum(verdicts) < 500
+
+
+def brute_kappa_upto_two(g: Graph) -> int:
+    """min(kappa, 2) by deleting each vertex, then a BFS."""
+    if not is_connected(g):
+        return 0
+    return 1 if has_cut_vertex(g) else 2
+
+
+def test_scan_matches_vertex_deletion_also_on_disconnected_graphs():
+    # 600 graphs with n = 3..40 made of one to three random pieces (trees
+    # plus chords, or lone nodes), numbered in a random order, so that each
+    # of kappa = 0, 1, 2 is common and node 0 may sit in any piece
+    rng = random.Random(16)
+    seen = []
+    for _ in range(600):
+        n = rng.randint(3, 40)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.choice((0, 0, 1, 2))))
+        edges = set()
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            piece = order[lo:hi]
+            for i in range(1, len(piece)):
+                edges.add(tuple(sorted((piece[rng.randrange(i)], piece[i]))))
+            for _ in range(rng.randint(0, 3 * len(piece)) if len(piece) > 2 else 0):
+                u, v = rng.sample(piece, 2)
+                edges.add((min(u, v), max(u, v)))
+        g = Graph(n, sorted(edges))
+        seen.append(brute_kappa_upto_two(g))
+        assert _kappa_upto_two(g) == seen[-1], (n, sorted(edges))
+    assert all(seen.count(kappa) > 100 for kappa in (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # two disjoint triangles
+        # a bowtie on 0..4 (cut vertex 2), then a triangle on 5..7
+        Graph(8, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (5, 6), (5, 7), (6, 7)]),
+    ],
+)
+def test_disconnected_graphs_of_min_degree_two(g, caplog):
+    assert min_degree(g) >= 2 and not is_connected(g)
+    assert _kappa_upto_two(g) == 0
+    caplog.set_level(logging.DEBUG, logger="netrobust.connectivity")
+    assert vertex_connectivity(g) == 0
+    assert [rec.getMessage() for rec in caplog.records] == ["connectivity 0: disconnected"]
+    assert connectivity_at_least(g, 1) is False
+    assert connectivity_at_least(g, 2) is False
 
 
 @st.composite

@@ -215,17 +215,17 @@ def test_er_sweep_matches_the_evaluate_every_offset_loop(n, trials, properties, 
 
 def test_er_sweep_builds_and_evaluates_only_undecided_work(monkeypatch):
     builds, evaluations = [], []
-    real_build, real_evaluate = experiments.graph_from_pair_mask, experiments._evaluate
+    real_build, real_evaluate = experiments._graph_from_ends, experiments._evaluate
 
-    def build(n, mask):
-        builds.append(real_build(n, mask))
+    def build(n, iu, ju):
+        builds.append(real_build(n, iu, ju))
         return builds[-1]
 
     def evaluate(prop, g, r):
         evaluations.append((prop, real_evaluate(prop, g, r)))
         return evaluations[-1][1]
 
-    monkeypatch.setattr(experiments, "graph_from_pair_mask", build)
+    monkeypatch.setattr(experiments, "_graph_from_ends", build)
     monkeypatch.setattr(experiments, "_evaluate", evaluate)
     spec = SweepSpec("erdos_renyi", 12, 2, 20, RngSeed(3), offsets=MIXED_OFFSETS, properties=ALL_KINDS)
     run_er_sweep(spec)

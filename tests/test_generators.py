@@ -15,6 +15,8 @@ from netrobust.generators import (
     PA_NODE_LIMIT,
     GeometricPlacement,
     RngSeed,
+    _graph_from_ends,
+    _pair_ends,
     gen_erdos_renyi,
     gen_geometric,
     gen_preferential,
@@ -104,6 +106,18 @@ def test_pair_mask_rows_equal_the_checked_edge_build(n, p):
     iu, ju = np.triu_indices(n, 1)
     sel = np.flatnonzero(mask)
     assert graph_from_pair_mask(n, mask) == Graph(n, zip(iu[sel].tolist(), ju[sel].tolist()))
+
+
+@pytest.mark.parametrize("n", [2, 7, 9, 64, 65, 300, 1000])
+def test_graph_from_held_ends_equals_the_pair_mask_build(n):
+    # the ends a coupled sweep holds for its highest p, subset at each lower p
+    u = pair_uniforms(n, rng_for(RngSeed(n, 3)))
+    ps = [0.0, 2 / n, 0.05, 0.3, 1.0]
+    top = np.flatnonzero(u < max(ps))
+    u_top, (iu_top, ju_top) = u[top], _pair_ends(n, top)
+    for p in ps:
+        present = u_top < p
+        assert _graph_from_ends(n, iu_top[present], ju_top[present]) == graph_from_pair_mask(n, u < p), p
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 8, 9, 64, 65, 1000, 2897])
@@ -246,6 +260,19 @@ def test_ba_node_guard_is_inclusive_and_raised_before_building(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert PA_NODE_LIMIT == 5000
+
+
+def test_ba_huge_r_is_refused_before_the_seed_clique_is_built():
+    # K_{2r-1} needs 2r - 1 <= n nodes, so PA_NODE_LIMIT bounds r as well
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"seed graph too small for n \(need n >= seed graph size\)"):
+            gen_preferential(5, 400, RngSeed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert gen_preferential(5, 3, RngSeed(0)) == complete(5)  # 2r - 1 = n still builds
 
 
 def test_ba_determinism_across_calls():
