@@ -48,14 +48,13 @@ class Graph:
     and loop-free by construction; it runs no per-edge checks.
     """
 
-    __slots__ = ("n", "adj", "_cache")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("node count must be nonnegative")
         self.n = n
         self.adj = [0] * n
-        self._cache: dict = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")

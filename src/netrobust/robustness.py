@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceGuardError
-from .graph import Graph, _component, _node_mask, is_connected, iter_bits, min_degree, set_of
+from .graph import Graph, _component, _node_mask, _spread, is_connected, iter_bits, min_degree, set_of
 
 # Advisory guard for the exponential cut search; callers may raise or lift it.
 DEFAULT_NODE_LIMIT = 25
@@ -313,17 +313,38 @@ def _bounds(g: Graph) -> tuple:
     Mohar's isoperimetric bound gives |dS| >= lambda2 |S| / 2). lambda2 <=
     kappa <= delta off the complete graph, so the spectral term can only
     help when ceil(delta/2) beats the other two; only then is it computed.
+    Before it, lb = ub if a clique's closure certifies ub (_clique_closure).
     """
     n = g.n
     delta = min_degree(g)
     half = n // 2
     ub = min(delta, n - half)
     lb = max(1, delta + 1 - half)
+    if lb < ub and _clique_closure(g.adj, ub):
+        lb = ub
     if lb < ub and (delta + 1) // 2 > lb:
         # The margin absorbs eigvalsh's rounding error (far below 1e-9 at
         # these sizes); lowering lb only costs search, never correctness.
         lb = max(lb, math.ceil(_algebraic_connectivity(g) / 2 - 1e-9))
     return lb, ub
+
+
+def _clique_closure(adj: list, r: int) -> bool:
+    """True if a greedy clique of 2r - 1 or more nodes spreads to every node by
+    threshold-r contagion. Then g is r-robust: K_{2r-1} is, and a node joined to
+    r nodes of an r-robust graph keeps it so, as does an edge (LeBlanc et al. 2013)."""
+    need = 2 * r - 1
+    if sum(row.bit_count() >= need - 1 for row in adj) < need:
+        return False  # too few nodes of degree 2r - 2 to hold the clique
+    for start in sorted(range(len(adj)), key=lambda v: -adj[v].bit_count())[:2]:
+        clique, cand = 1 << start, adj[start]
+        while cand and clique.bit_count() + cand.bit_count() >= need:
+            v = max(iter_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+            clique |= 1 << v
+            cand &= adj[v]
+        if clique.bit_count() >= need and clique + sum(_spread(adj, clique, r)) == (1 << len(adj)) - 1:
+            return True
+    return False
 
 
 def _algebraic_connectivity(g: Graph) -> float:
@@ -342,7 +363,7 @@ def _bound_names(g: Graph, lb: int, ub: int) -> tuple:
     delta = min_degree(g)
     floor_lb = max(1, delta + 1 - g.n // 2)
     if lb > floor_lb:
-        lb_from = "lambda2"
+        lb_from = "closure" if lb == ub and _clique_closure(g.adj, ub) else "lambda2"
     elif lb > 1:
         lb_from = "delta"
     else:
@@ -370,7 +391,8 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
         return True
     if r > ub:
         return False
-    return _search_cut(g, r - 1, allow_x=True) is None
+    # At r = ub the closure has just failed inside _bounds.
+    return (r < ub and _clique_closure(g.adj, r)) or _search_cut(g, r - 1, allow_x=True) is None
 
 
 def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
@@ -445,10 +467,6 @@ def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:
 
 
 def _naive_robustness(g: Graph) -> int:
-    cached = g._cache.get("naive_robustness")
-    if cached is not None:
-        return cached
-    n = g.n
     adj = g.adj
     full = g.full_mask()
     reach = [0] * (full + 1)
@@ -462,7 +480,7 @@ def _naive_robustness(g: Graph) -> int:
             if c > best:
                 best = c
         reach[m] = best
-    rob = n
+    rob = g.n
     for s1 in range(1, full + 1):
         comp = full & ~s1
         r1 = reach[s1]
@@ -477,10 +495,8 @@ def _naive_robustness(g: Graph) -> int:
             if pair < rob:
                 rob = pair
                 if rob == 0:
-                    g._cache["naive_robustness"] = 0
                     return 0
             s2 = (s2 - 1) & comp
-    g._cache["naive_robustness"] = rob
     return rob
 
 

@@ -22,6 +22,7 @@ from netrobust.robustness import (
     DEFAULT_NODE_LIMIT,
     TriPartition,
     _bounds,
+    _clique_closure,
     _core,
     _strong_pairs,
     _tie_classes,
@@ -438,7 +439,10 @@ def test_core_prune_cuts_the_refutation_work(monkeypatch):
 
     monkeypatch.setattr(module, "_place", counted)
     g = gen_preferential(20, 3, RngSeed(0, 1))
-    assert robustness(g) == 3
+    # robustness() certifies this graph without search (see the closure
+    # tests below), so the refutation runs through the finder, which has no
+    # bound shortcut.
+    assert find_degree_cut(g, 2) is None
     # Without the prune, refuting rho = 2 takes 4,456 placements; with it, 52.
     assert 0 < calls.count(2) <= 200
 
@@ -463,6 +467,90 @@ def test_decision_is_logged(caplog):
         "robustness 1: searched rho=1..1 of [lb=1 from connectivity, ub=4 from delta)",
         "robustness 0: disconnected",
     ]
+
+
+# --- clique closure certificate ---------------------------------------------
+
+
+def test_closure_certificate_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    assert robustness(gen_preferential(20, 3, RngSeed(0, 1))) == 3
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "robustness 3: lb=ub (lb from closure, ub from delta), no search",
+    ]
+
+
+def wheel(rim: int) -> Graph:
+    """Hub 0 joined to every node of the cycle 1..rim."""
+    return Graph(rim + 1, [(0, v) for v in range(1, rim + 1)] + [(v, v % rim + 1) for v in range(1, rim + 1)])
+
+
+def test_preferential_graphs_are_certified_without_search(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+
+    def refuse(*args):
+        raise AssertionError("cut search ran")
+
+    monkeypatch.setattr(module, "_search_cut", refuse)
+    for m in (2, 3, 4):
+        for n in range(2 * m - 1, 26):
+            for stream in range(3):
+                g = gen_preferential(n, m, RngSeed(n, 10 * m + stream))
+                assert robustness(g) == m, (n, m, stream)
+                assert is_r_robust(g, m), (n, m, stream)
+    # is_r_robust tries the certificate at its own r: the wheel's bounds
+    # give 1 <= robustness <= 3, and a hub-rim triangle spreads around the
+    # rim at threshold 2.
+    g = wheel(8)
+    assert _bounds(g) == (1, 3)
+    assert is_r_robust(g, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_closure_certificate_is_sound(g):
+    for r in range(1, g.n + 2):
+        if _clique_closure(g.adj, r):
+            assert naive_is_r_robust(g, r), r
+
+
+def test_closure_certificate_on_cliques():
+    # K_n is r-robust exactly when n >= 2r - 1, and is its own base clique.
+    for n in range(1, 12):
+        for r in range(1, n + 2):
+            assert _clique_closure(complete(n).adj, r) == (n >= 2 * r - 1), (n, r)
+
+
+def test_closure_certificate_changes_no_answer(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    rng = random.Random(0xC11C)
+    corpus = []
+    for i in range(1000):
+        n = rng.randint(3, 16)
+        if i % 3 == 0 and n >= 5:
+            m = rng.randint(2, (n + 1) // 2)
+            corpus.append(gen_preferential(n, m, RngSeed(i, 5)))
+        else:
+            corpus.append(random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9])))
+
+    def answers():
+        out = []
+        for g in corpus:
+            rob = robustness(g)
+            out.append((rob, [is_r_robust(g, r) for r in range(rob + 3)]))
+        return out
+
+    closure, fired = module._clique_closure, []
+
+    def counted(adj, r):
+        fired.append(closure(adj, r))
+        return fired[-1]
+
+    monkeypatch.setattr(module, "_clique_closure", counted)
+    certified = answers()
+    monkeypatch.setattr(module, "_clique_closure", lambda adj, r: False)
+    assert certified == answers()
+    assert sum(fired) > 1000, (sum(fired), len(fired))  # 1,176 certificates
 
 
 # --- subset reachability ----------------------------------------------------
