@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -276,7 +275,10 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
     """Whether threshold-r contagion from every size-m seed set infects all nodes.
 
     exact: equivalent subset-reachability check (every set with size <= n-m
-    must be r-reachable). simulate: literally run every seed set (guarded).
+    must be r-reachable). simulate: the contagion closure of every seed set
+    (guarded), reached depth-first over seed prefixes in combination order:
+    cl(T + u) = cl(cl(T) + u), and once a prefix infects all, so does every
+    seed set that extends it.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -292,7 +294,18 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
                 f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
                 f"the guard {SIMULATE_NODE_LIMIT}"
             )
-        bits = [1 << v for v in range(g.n)]
-        seeds = map(sum, itertools.combinations(bits, m))
-        return all(s + sum(_spread(g.adj, s, r)) == g.full_mask() for s in seeds)
+        n, adj, full = g.n, g.adj, g.full_mask()
+
+        def walk(start: int, left: int, closure: int) -> bool:
+            # Whether every left more seeds from start on complete the closure.
+            if closure == full or not left:
+                return closure == full
+            for v in range(start, n - left + 1):
+                bit = 1 << v
+                grown = closure if closure & bit else closure + bit + sum(_spread(adj, closure + bit, r, bit))
+                if not walk(v + 1, left - 1, grown):
+                    return False
+            return True
+
+        return walk(0, m, 0)
     raise ValueError("method must be 'exact' or 'simulate'")

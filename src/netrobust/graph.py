@@ -128,11 +128,13 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _component(g, 0) == g.full_mask()
 
 
-def _spread(adj: list, imask: int, r: int):
+def _spread(adj: list, imask: int, r: int, newly: int | None = None):
     """Masks of the nodes newly infected in each round of threshold-r contagion
     from imask, up to the fixpoint. A round tests only uninfected neighbors of the
-    nodes infected the round before (the seeds, at first): no other count rose."""
-    newly = imask
+    nodes infected the round before (the seeds, at first): no other count rose.
+    A given newly replaces imask as the first round's frontier; that is exact
+    only when imask & ~newly is already a fixpoint."""
+    newly = imask if newly is None else newly
     while True:
         frontier = 0
         while newly:

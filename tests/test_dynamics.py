@@ -1,6 +1,7 @@
 """Resilient-averaging rounds and threshold cascades."""
 
 import functools
+import itertools
 import logging
 import operator
 import random
@@ -29,7 +30,7 @@ from netrobust.dynamics import (
 )
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import RngSeed, gen_erdos_renyi, gen_preferential, rng_for
-from netrobust.graph import Graph, complete, counterexample, cycle, iter_bits, mask_of, path
+from netrobust.graph import Graph, _spread, complete, counterexample, cycle, is_connected, iter_bits, mask_of, path
 from netrobust.robustness import check_subsets_reachable
 
 
@@ -279,6 +280,78 @@ def test_exact_matches_simulation_on_seeded_batch():
                 exact = contagion_from_any_m(g, m, r)
                 sim = contagion_from_any_m(g, m, r, method="simulate")
                 assert exact == sim, (n, edges, m, r)
+
+
+# --- the simulate walk against one literal cascade per seed set ---------------
+
+
+def literal_contagion(g, m, r):
+    """One full cascade for every size-m seed set: the loop the walk replaced."""
+    bits = [1 << v for v in range(g.n)]
+    seeds = map(sum, itertools.combinations(bits, m))
+    return all(s + sum(_spread(g.adj, s, r)) == g.full_mask() for s in seeds)
+
+
+def seeded_graph(rng, n):
+    # p = 0 gives edgeless graphs; a second part (rng.random() < 0.3) leaves
+    # nodes from split on without edges to those before it.
+    p = rng.choice((0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+    split = rng.randint(1, n) if rng.random() < 0.3 else n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u < split) == (v < split)]
+    return Graph(n, [e for e in pairs if rng.random() < p])
+
+
+def test_simulate_matches_the_literal_loop():
+    rng = random.Random(1414)
+    graphs = [seeded_graph(rng, rng.randint(2, 10)) for _ in range(400)]
+    graphs += [seeded_graph(rng, n) for n in (11, 11, 12, 12) for _ in range(2)]
+    graphs += [Graph(n, []) for n in range(2, 13)] + [counterexample(12), complete(12)]
+    kinds = set()
+    for g in graphs:
+        kinds.add((g.n, bool(g.edge_count()), is_connected(g)))
+        for r in range(1, 5):
+            for m in range(r, g.n):
+                expected = literal_contagion(g, m, r)
+                assert contagion_from_any_m(g, m, r, method="simulate") == expected, (g.n, list(g.edges()), m, r)
+    assert {n for n, _, _ in kinds} == set(range(2, 13))
+    assert any(has_edges and not connected for _, has_edges, connected in kinds)
+    assert {n for n, has_edges, _ in kinds if not has_edges} == set(range(2, 13))
+
+
+def test_simulate_walk_bounds_its_closures(monkeypatch):
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _spread(*args)
+
+    monkeypatch.setattr(dynamics, "_spread", counting)
+    assert contagion_from_any_m(complete(12), 6, 1, method="simulate")
+    assert calls[0] <= 12  # the literal loop runs C(12, 6) = 924 cascades
+    calls[0] = 0
+    g = gen_erdos_renyi(10, 0.5, RngSeed(0, 1))
+    for r in (1, 2, 3):
+        for m in range(r, 10):
+            contagion_from_any_m(g, m, r, method="simulate")
+    assert calls[0] <= 250  # the literal loop, stopping at a first failure, runs 1,855
+
+
+def test_spread_from_a_fixpoint_needs_only_the_new_frontier():
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        g = seeded_graph(rng, n)
+        r = rng.randint(1, 4)
+        seeds = mask_of(rng.sample(range(n), rng.randint(0, n)))
+        fixpoint = seeds + sum(_spread(g.adj, seeds, r))
+        outside = [v for v in range(n) if not fixpoint >> v & 1]
+        if outside:
+            newly = mask_of(rng.sample(outside, rng.randint(1, len(outside))))
+            imask = fixpoint | newly
+            assert list(_spread(g.adj, imask, r, newly)) == list(_spread(g.adj, imask, r)), (n, r, seeds, newly)
+            checked += 1
+    assert checked > 150
 
 
 # --- equivalence with the step-by-step references ----------------------------
