@@ -1,5 +1,7 @@
 """Exact graph-robustness analysis, resilient dynamics, generators, and hardness gadgets."""
 
+from types import ModuleType as _ModuleType
+
 from .connectivity import connectivity_at_least, vertex_connectivity
 from .dynamics import (
     CascadeState,
@@ -75,69 +77,7 @@ from .robustness import (
     robustness,
 )
 
-__all__ = [
-    "Assignment",
-    "CascadeState",
-    "CnfFormula",
-    "ConsensusConfig",
-    "ConsensusTrace",
-    "Constant",
-    "GadgetGraph",
-    "GeometricPlacement",
-    "Graph",
-    "Ramp",
-    "ResourceGuardError",
-    "RngSeed",
-    "Role",
-    "SweepRecord",
-    "SweepSpec",
-    "TriPartition",
-    "UniformRandom",
-    "assignment_from_cut",
-    "build_g_phi",
-    "build_g_rho_phi",
-    "build_h_phi",
-    "build_h_rho_phi",
-    "cascade_step",
-    "cascade_trace",
-    "check_subsets_reachable",
-    "complete",
-    "connectivity_at_least",
-    "contagion_from_any_m",
-    "counterexample",
-    "cut_from_assignment",
-    "cycle",
-    "enumerate_nae3sat",
-    "find_degree_cut",
-    "find_relaxed_degree_cut",
-    "gen_erdos_renyi",
-    "gen_geometric",
-    "gen_preferential",
-    "graph_from_placement",
-    "half_crossing",
-    "is_connected",
-    "is_r_reachable",
-    "is_r_robust",
-    "min_degree",
-    "nae3sat_satisfiable",
-    "nae_check",
-    "naive_is_r_robust",
-    "path",
-    "read_records",
-    "reach_index",
-    "rng_for",
-    "robustness",
-    "run_ba_trials",
-    "run_cascade",
-    "run_consensus",
-    "run_er_sweep",
-    "run_geometric_sweep",
-    "threshold_p",
-    "validate_f_local",
-    "verify_cut",
-    "vertex_connectivity",
-    "with_added_node",
-    "wmsr_filter",
-    "wmsr_round",
-    "write_records",
-]
+# The export list is the import block above: every public name but the submodules.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

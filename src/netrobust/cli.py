@@ -89,11 +89,11 @@ def _cmd_sweep(args) -> int:
         )
     if args.seed is not None:
         spec = dataclasses.replace(spec, base_seed=RngSeed(args.seed, args.stream))
+    if args.gnuplot and (args.out is None or args.format != "csv"):
+        raise ValueError("--gnuplot needs --out with the csv format")
     records = runner(spec)
     nio.write_records(records, _out_or_stdout(args.out), args.format)
     if args.gnuplot:
-        if args.out is None or args.format != "csv":
-            raise ValueError("--gnuplot needs --out with the csv format")
         with nio.opened(args.gnuplot) as fh:
             fh.write(gnuplot_script(args.out, spec.properties) + "\n")
     return 0

@@ -71,10 +71,10 @@ def _parse_property(name: str):
     if name in ("min_degree_r", "r_connected", "r_robust"):
         return name, None
     if name.startswith("s_property:"):
-        cap = int(name.split(":", 1)[1])
-        if cap < 1:
-            raise ValueError("s_property cap must be positive")
-        return "s_property", cap
+        digits = name.split(":", 1)[1]
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+            raise ValueError(f"s_property cap must be positive, in ASCII decimal digits: {digits!r}")
+        return "s_property", int(digits)
     raise ValueError(f"unknown property {name!r}")
 
 

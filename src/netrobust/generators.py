@@ -216,11 +216,13 @@ def gen_preferential(
     rng = rng_for(seed)
     edges = list(seed_graph.edges())
     degrees = [seed_graph.degree(v) for v in range(n0)] + [0] * (n - n0)
+    # Degrees only grow and each new node gets r, so after the first new node
+    # at least r + 1 nodes have nonzero degree: only the seed graph can fail.
+    if n > n0 and 0 < sum(d > 0 for d in degrees) < r:
+        raise ValueError("seed graph cannot supply r distinct degree-weighted targets")
     for new in range(n0, n):
         cum = list(itertools.accumulate(degrees[:new]))
         total = cum[-1]
-        if 0 < sum(1 for v in range(new) if degrees[v] > 0) < r:
-            raise ValueError("seed graph cannot supply r distinct degree-weighted targets")
         chosen: set = set()
         while len(chosen) < r:
             if total == 0:

@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-# Node sets cross the public API as frozensets; bitmasks stay internal.
-NodeSet = frozenset
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in ascending order."""
     while mask:

@@ -181,27 +181,21 @@ def _append_core(phi, rho, base, roles, edges, tb_members, fb_members):
 
     nxt = c0 + 9 * m
     if rho > 1:
-        # supports (i): each block node gains rho-1 helpers in the other block
-        for owner in range(tb0, tb0 + nb):
-            for _ in range(rho - 1):
-                roles.append(Role("block_support", owner, "false"))
-                fb_members.append(nxt)
-                edges.append((owner, nxt))
-                nxt += 1
-        for owner in range(fb0, fb0 + nb):
-            for _ in range(rho - 1):
-                roles.append(Role("block_support", owner, "true"))
-                tb_members.append(nxt)
-                edges.append((owner, nxt))
-                nxt += 1
+        # supports (i): each block node gains rho-1 helpers in the other block;
         # supports (ii): each gadget node gains rho-1 helpers in each block
-        for owner in range(v0, c0 + 9 * m):
-            for block, members in (("true", tb_members), ("false", fb_members)):
-                for _ in range(rho - 1):
-                    roles.append(Role("block_support", owner, block))
-                    members.append(nxt)
-                    edges.append((owner, nxt))
-                    nxt += 1
+        supports = [(owner, "false", fb_members) for owner in range(tb0, tb0 + nb)]
+        supports += [(owner, "true", tb_members) for owner in range(fb0, fb0 + nb)]
+        supports += [
+            (owner, block, members)
+            for owner in range(v0, c0 + 9 * m)
+            for block, members in (("true", tb_members), ("false", fb_members))
+        ]
+        for owner, block, members in supports:
+            for _ in range(rho - 1):
+                roles.append(Role("block_support", owner, block))
+                members.append(nxt)
+                edges.append((owner, nxt))
+                nxt += 1
     return nxt
 
 

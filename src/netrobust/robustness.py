@@ -303,7 +303,9 @@ def find_relaxed_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
 
 
 def _bounds(g: Graph) -> tuple:
-    """Certified (lb, ub) with lb <= robustness(g) <= ub, for connected g.
+    """Certified (lb, ub, lb_from, ub_from) with lb <= robustness(g) <= ub, for
+    connected g; lb_from and ub_from name the bound that set each, for the
+    decision log.
 
     ub = min(delta, ceil(n/2)): a min-degree singleton against the rest, or a
     balanced bipartition, is always a cut. lb is the largest of 1
@@ -318,15 +320,18 @@ def _bounds(g: Graph) -> tuple:
     n = g.n
     delta = min_degree(g)
     half = n // 2
-    ub = min(delta, n - half)
+    ub, ub_from = (delta, "delta") if delta <= n - half else (n - half, "ceil(n/2)")
     lb = max(1, delta + 1 - half)
+    lb_from = "delta" if lb > 1 else "connectivity"
     if lb < ub and _clique_closure(g.adj, ub):
-        lb = ub
+        lb, lb_from = ub, "closure"
     if lb < ub and (delta + 1) // 2 > lb:
         # The margin absorbs eigvalsh's rounding error (far below 1e-9 at
         # these sizes); lowering lb only costs search, never correctness.
-        lb = max(lb, math.ceil(_algebraic_connectivity(g) / 2 - 1e-9))
-    return lb, ub
+        spectral = math.ceil(_algebraic_connectivity(g) / 2 - 1e-9)
+        if spectral > lb:
+            lb, lb_from = spectral, "lambda2"
+    return lb, ub, lb_from, ub_from
 
 
 def _clique_closure(adj: list, r: int) -> bool:
@@ -358,19 +363,6 @@ def _algebraic_connectivity(g: Graph) -> float:
     return float(np.linalg.eigvalsh(laplacian)[1])
 
 
-def _bound_names(g: Graph, lb: int, ub: int) -> tuple:
-    """Which bound set lb and which set ub, for the decision log."""
-    delta = min_degree(g)
-    floor_lb = max(1, delta + 1 - g.n // 2)
-    if lb > floor_lb:
-        lb_from = "closure" if lb == ub and _clique_closure(g.adj, ub) else "lambda2"
-    elif lb > 1:
-        lb_from = "delta"
-    else:
-        lb_from = "connectivity"
-    return lb_from, "delta" if ub == delta else "ceil(n/2)"
-
-
 def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
     """True iff no (r-1)-degree cut exists; r = 0 is trivially true."""
     if g.n < 2:
@@ -386,7 +378,7 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
     if min_degree(g) < r:
         return False  # min-degree singleton plus the rest is an (r-1)-cut
     _guard(g.n, node_limit)
-    lb, ub = _bounds(g)
+    lb, ub, _, _ = _bounds(g)
     if r <= lb:
         return True
     if r > ub:
@@ -409,19 +401,17 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
         _log.debug("robustness 0: disconnected")
         return 0
     _guard(g.n, node_limit)
-    lb, ub = _bounds(g)
+    lb, ub, lb_from, ub_from = _bounds(g)
     rho = lb
     while rho < ub and _search_cut(g, rho, allow_x=True) is None:
         rho += 1
-    if _log.isEnabledFor(logging.DEBUG):
-        lb_from, ub_from = _bound_names(g, lb, ub)
-        if lb == ub:
-            _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", rho, lb_from, ub_from)
-        else:
-            _log.debug(
-                "robustness %d: searched rho=%d..%d of [lb=%d from %s, ub=%d from %s)",
-                rho, lb, min(rho, ub - 1), lb, lb_from, ub, ub_from,
-            )
+    if lb == ub:
+        _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", rho, lb_from, ub_from)
+    else:
+        _log.debug(
+            "robustness %d: searched rho=%d..%d of [lb=%d from %s, ub=%d from %s)",
+            rho, lb, min(rho, ub - 1), lb, lb_from, ub, ub_from,
+        )
     return rho
 
 

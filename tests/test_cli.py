@@ -267,7 +267,9 @@ def test_gnuplot_needs_csv_out(tmp_path, capsys):
         "family": "erdos_renyi", "n": 6, "r": 1, "trials": 2, "seed": 0,
     }))
     assert main(["sweep", "er", "--spec", str(spec), "--gnuplot", str(tmp_path / "p.gp")]) == 1
-    assert "--gnuplot needs --out" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "--gnuplot needs --out" in captured.err
+    assert captured.out == ""  # refused before the sweep runs and prints its records
 
 
 def test_consensus_command(gap8, tmp_path, capsys):

@@ -92,6 +92,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="cap must be positive"):
         SweepSpec("erdos_renyi", 10, 2, 5, 7, properties=("s_property:0",))
     SweepSpec("erdos_renyi", 10, 2, 5, 7, properties=("s_property:3",))
+    # int() would take these; a cap is ASCII decimal digits only, so that a
+    # property name is one word in the gnuplot script's list
+    for cap in (" 3", "3 ", "+3", "3_0", "\u0663", "", "x"):
+        with pytest.raises(ValueError, match="ASCII decimal digits"):
+            SweepSpec("erdos_renyi", 10, 2, 5, 7, properties=(f"s_property:{cap}",))
 
 
 def test_record_validation():

@@ -244,6 +244,15 @@ def test_ba_validation_and_custom_seed_graph():
     # K_5 is 3-robust, so it passes verification as a 3-seed
     g = gen_preferential(9, 3, RngSeed(2), seed_graph=complete(5), verify_seed_graph=True)
     assert is_r_robust(g, 3)
+    # Only the first new node can lack r distinct targets of nonzero degree.
+    one_edge = Graph(3, [(0, 1)])
+    assert gen_preferential(3, 3, RngSeed(1), seed_graph=one_edge) == one_edge
+    with pytest.raises(ValueError, match="cannot supply r distinct"):
+        gen_preferential(4, 3, RngSeed(1), seed_graph=one_edge)
+    # an edgeless seed graph draws its first targets uniformly
+    g = gen_preferential(12, 3, RngSeed(1), seed_graph=Graph(3, []))
+    assert all(g.has_edge(v, 3) for v in range(3))
+    assert all(sum(v < k for v in g.neighbors(k)) == 3 for k in range(3, 12))
 
 
 def test_ba_node_guard_is_inclusive_and_raised_before_building(monkeypatch):

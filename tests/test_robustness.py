@@ -451,7 +451,7 @@ def test_core_prune_cuts_the_refutation_work(monkeypatch):
 @given(graphs(min_n=2, max_n=12))
 def test_bounds_bracket_the_oracle(g):
     assume(is_connected(g))
-    lb, ub = _bounds(g)
+    lb, ub = _bounds(g)[:2]
     exact = next(r for r in range(g.n + 1) if not naive_is_r_robust(g, r + 1))
     assert lb <= exact <= ub
 
@@ -472,11 +472,42 @@ def test_decision_is_logged(caplog):
 # --- clique closure certificate ---------------------------------------------
 
 
-def test_closure_certificate_is_logged(caplog):
+def count_closures(monkeypatch) -> list:
+    """Record the answer of every _clique_closure call from here on."""
+    module = importlib.import_module("netrobust.robustness")
+    closure, fired = module._clique_closure, []
+
+    def counted(adj, r):
+        fired.append(closure(adj, r))
+        return fired[-1]
+
+    monkeypatch.setattr(module, "_clique_closure", counted)
+    return fired
+
+
+def test_closure_certificate_is_logged(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    closures = count_closures(monkeypatch)
     assert robustness(gen_preferential(20, 3, RngSeed(0, 1))) == 3
     assert [rec.getMessage() for rec in caplog.records] == [
         "robustness 3: lb=ub (lb from closure, ub from delta), no search",
+    ]
+    assert closures == [True]  # the log names the bound without a second closure
+
+
+def test_spectral_bound_is_logged(caplog, monkeypatch):
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    closures = count_closures(monkeypatch)
+    # K_{a,a} has lambda2 = a, which lifts lb from 1 to ceil(a/2); no clique
+    # of 2a - 1 nodes exists to certify ub = a. lambda2 <= delta off the
+    # complete graph, so the spectral bound never closes the gap by itself.
+    for a in (3, 4):
+        before = len(closures)
+        assert robustness(Graph(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])) == 2
+        assert len(closures) - before <= 1
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "robustness 2: searched rho=2..2 of [lb=2 from lambda2, ub=3 from delta)",
+        "robustness 2: searched rho=2..2 of [lb=2 from lambda2, ub=4 from delta)",
     ]
 
 
@@ -502,7 +533,7 @@ def test_preferential_graphs_are_certified_without_search(monkeypatch):
     # give 1 <= robustness <= 3, and a hub-rim triangle spreads around the
     # rim at threshold 2.
     g = wheel(8)
-    assert _bounds(g) == (1, 3)
+    assert _bounds(g)[:2] == (1, 3)
     assert is_r_robust(g, 2)
 
 
@@ -540,13 +571,7 @@ def test_closure_certificate_changes_no_answer(monkeypatch):
             out.append((rob, [is_r_robust(g, r) for r in range(rob + 3)]))
         return out
 
-    closure, fired = module._clique_closure, []
-
-    def counted(adj, r):
-        fired.append(closure(adj, r))
-        return fired[-1]
-
-    monkeypatch.setattr(module, "_clique_closure", counted)
+    fired = count_closures(monkeypatch)
     certified = answers()
     monkeypatch.setattr(module, "_clique_closure", lambda adj, r: False)
     assert certified == answers()
