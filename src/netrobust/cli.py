@@ -17,6 +17,7 @@ from .dynamics import cascade_trace, run_consensus
 from .errors import ResourceGuardError
 from .experiments import _FAMILIES, gnuplot_script
 from .generators import RngSeed, gen_erdos_renyi, gen_geometric, gen_preferential
+from .graph import _node_mask
 from .hardness import build_g_phi, build_g_rho_phi, build_h_phi, build_h_rho_phi
 from .robustness import (
     DEFAULT_NODE_LIMIT,
@@ -29,6 +30,14 @@ from .robustness import (
 
 def _out_or_stdout(path):
     return sys.stdout if path is None else path
+
+
+def _check_nodes(g, nodes, path, what: str) -> None:
+    """Refuse node ids that g lacks, naming the file that gave them."""
+    try:
+        _node_mask(g, nodes, what)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _seed(args, default=0) -> RngSeed:
@@ -102,6 +111,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_consensus(args) -> int:
     g = nio.read_graph(args.graph)
     config, initial = nio.read_consensus_config(args.config)
+    _check_nodes(g, config.adversary_set, args.config, "adversary set")
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=RngSeed(args.seed, args.stream))
     trace = run_consensus(g, initial, config)
@@ -117,6 +127,7 @@ def _cmd_consensus(args) -> int:
 def _cmd_cascade(args) -> int:
     g = nio.read_graph(args.graph)
     seeds = nio.read_node_set(args.seed_set)
+    _check_nodes(g, seeds, args.seed_set, "seed set")
     rows = cascade_trace(g, seeds, args.threshold)
     nio.write_cascade_trace(rows, _out_or_stdout(args.out))
     print(

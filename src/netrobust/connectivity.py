@@ -219,6 +219,8 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
     linked holds the nodes that no set of fewer than best nodes cuts from s.
     A non-neighbour of s with best linked neighbours is linked too, as such
     a set misses one of them: this contagion spares most of the s-t flows.
+    It keeps its counts of linked neighbours from one terminal to the next
+    and recounts them only when a short flow lowers best.
     """
     if k <= 1:
         return (1, "delta <= 2") if is_connected(g) else (0, "disconnected")
@@ -235,8 +237,11 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
 
     def pairs():  # reads best as the loop below lowers it
         nonlocal closed, linked
+        counted = 0  # the threshold levels counts for, or 0 before any count
         while True:
-            for newly in _spread(adj, linked, best):
+            if best != counted:  # a fixpoint at a higher threshold need not be one at best
+                counted, levels, bit = best, [0] * best, linked
+            for newly in _spread(adj, linked, best, bit, levels):
                 closed += newly.bit_count()
                 linked |= newly
             bit = ~linked & linked + 1  # the lowest unlinked node

@@ -296,16 +296,21 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
             )
         n, adj, full = g.n, g.adj, g.full_mask()
 
-        def walk(start: int, left: int, closure: int) -> bool:
-            # Whether every left more seeds from start on complete the closure.
+        def walk(start: int, left: int, closure: int, levels: list) -> bool:
+            # Whether every left more seeds from start on complete the closure;
+            # levels count the closure's infected neighbours (see _spread).
             if closure == full or not left:
                 return closure == full
             for v in range(start, n - left + 1):
                 bit = 1 << v
-                grown = closure if closure & bit else closure + bit + sum(_spread(adj, closure + bit, r, bit))
-                if not walk(v + 1, left - 1, grown):
+                if closure & bit:
+                    grown, counts = closure, levels
+                else:
+                    counts = levels[:]
+                    grown = closure + bit + sum(_spread(adj, closure + bit, r, bit, counts))
+                if not walk(v + 1, left - 1, grown, counts):
                     return False
             return True
 
-        return walk(0, m, 0)
+        return walk(0, m, 0, [0] * r)
     raise ValueError("method must be 'exact' or 'simulate'")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +51,8 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # Guards for G(n, p), which draws n(n-1)/2 float64 uniforms and a boolean mask
-# over them, and for preferential attachment, which keeps a degree list of n
-# entries and rebuilds its cumulative weights for every new node.
+# over them, and for preferential attachment, which keeps a Fenwick tree of n
+# degrees and n adjacency rows.
 ER_NODE_LIMIT = 5000
 PA_NODE_LIMIT = 5000
 
@@ -198,8 +196,9 @@ def gen_preferential(
     with probability proportional to current degree.
 
     Sampling without replacement is by rejection of already-chosen targets;
-    cumulative weights are rebuilt per node insertion. A zero total degree
-    (only possible around K_1) falls back to uniform choice.
+    each draw descends a Fenwick tree of the degrees, so a graph costs
+    O(n r log n). A zero total degree (only possible around K_1) falls back
+    to uniform choice.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -214,24 +213,49 @@ def gen_preferential(
     if n0 < r:
         raise ValueError("seed graph too small to supply r distinct targets")
     rng = rng_for(seed)
-    edges = list(seed_graph.edges())
-    degrees = [seed_graph.degree(v) for v in range(n0)] + [0] * (n - n0)
+    degrees = [row.bit_count() for row in seed_graph.adj]
     # Degrees only grow and each new node gets r, so after the first new node
     # at least r + 1 nodes have nonzero degree: only the seed graph can fail.
     if n > n0 and 0 < sum(d > 0 for d in degrees) < r:
         raise ValueError("seed graph cannot supply r distinct degree-weighted targets")
+    # A Fenwick tree over the degrees, padded to a power of two: tree[i] sums
+    # the degrees of nodes i - (i & -i) .. i - 1.
+    size = 1 << (n - 1).bit_length()
+    tree = [0, *degrees] + [0] * (size - n0)
+    for i in range(1, size):
+        tree[i + (i & -i)] += tree[i]
+    rows = seed_graph.adj + [0] * (n - n0)
+    total = sum(degrees)
     for new in range(n0, n):
-        cum = list(itertools.accumulate(degrees[:new]))
-        total = cum[-1]
         chosen: set = set()
         while len(chosen) < r:
             if total == 0:
                 v = int(rng.integers(new))
             else:
-                v = bisect.bisect_right(cum, rng.random() * total)
+                # The first node whose prefix sum of degrees exceeds the draw,
+                # as bisect_right finds it: the sums are integers, so they may
+                # be compared with its floor, below total. The descent starts
+                # at the smallest power of two not below new, past which all
+                # degrees are still 0.
+                x, v, step = int(rng.random() * total), 0, 1 << (new - 1).bit_length() >> 1
+                while step:
+                    if tree[v + step] <= x:
+                        v += step
+                        x -= tree[v]
+                    step >>= 1
             chosen.add(v)
-        for v in sorted(chosen):
-            edges.append((v, new))
-            degrees[v] += 1
-        degrees[new] = r
-    return Graph(n, edges)
+        for v in chosen:
+            rows[v] |= 1 << new
+            rows[new] |= 1 << v
+            _fenwick_add(tree, v, 1)
+        _fenwick_add(tree, new, r)
+        total += 2 * r
+    return _from_rows(n, rows)
+
+
+def _fenwick_add(tree: list, i: int, d: int) -> None:
+    """Add d to entry i (0-based) of the Fenwick tree."""
+    i, size = i + 1, len(tree)
+    while i < size:
+        tree[i] += d
+        i += i & -i

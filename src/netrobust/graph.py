@@ -25,8 +25,11 @@ def set_of(mask: int) -> frozenset:
 
 def _node_mask(g: Graph, nodes, what: str) -> int:
     # Range first: mask_of would allocate 1 << v bits for a far-off id v.
-    if not all(0 <= v < g.n for v in nodes):
-        raise ValueError(f"{what} contains nodes outside the graph")
+    outside = [v for v in nodes if not 0 <= v < g.n]
+    if outside:
+        raise ValueError(
+            f"{what} contains nodes outside the graph: node {min(outside)} (the graph has {g.n} nodes)"
+        )
     return mask_of(nodes)
 
 
@@ -124,13 +127,48 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _component(g, 0) == g.full_mask()
 
 
-def _spread(adj: list, imask: int, r: int, newly: int | None = None):
+# Up to this threshold _spread keeps bit-row counts of infected neighbours;
+# above it the carry through the levels costs more than a popcount test saves.
+_LEVELS_UPTO = 3
+
+
+def _spread(adj: list, imask: int, r: int, newly: int | None = None, levels: list | None = None):
     """Masks of the nodes newly infected in each round of threshold-r contagion
-    from imask, up to the fixpoint. A round tests only uninfected neighbors of the
-    nodes infected the round before (the seeds, at first): no other count rose.
-    A given newly replaces imask as the first round's frontier; that is exact
-    only when imask & ~newly is already a fixpoint."""
+    from imask, up to the fixpoint. Only the rows of newly (default imask) are
+    counted afresh; imask & ~newly must already be a fixpoint.
+
+    For r <= _LEVELS_UPTO, levels[k] holds the nodes with more than k infected
+    neighbours. Each infected node's row is added once, by an ascending carry
+    that stops when it is empty or at level r - 1, and a round infects
+    levels[r - 1] & ~imask. A given levels must count imask & ~newly; it is
+    updated in place and counts the fixpoint once the rounds are exhausted.
+    Without it every row of imask is counted. For larger r a round tests only
+    uninfected neighbours of the nodes infected the round before (the seeds,
+    at first), as no other count rose, and levels is not read."""
     newly = imask if newly is None else newly
+    if r <= _LEVELS_UPTO:
+        if levels is None:
+            levels, newly = [0] * r, imask
+        top = r - 1
+        while True:
+            while newly:
+                low = newly & -newly
+                newly ^= low
+                carry, k = adj[low.bit_length() - 1], 0
+                while k < top:
+                    level = levels[k]
+                    levels[k] = level | carry
+                    carry &= level
+                    if not carry:
+                        break
+                    k += 1
+                else:
+                    levels[top] |= carry
+            newly = levels[top] & ~imask
+            if not newly:
+                return
+            imask |= newly
+            yield newly
     while True:
         frontier = 0
         while newly:

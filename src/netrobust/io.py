@@ -329,6 +329,15 @@ def read_node_set(path) -> frozenset:
     return frozenset(nodes)
 
 
+def _known_keys(payload, keys: tuple, what: str) -> None:
+    """Refuse keys outside keys, so that a misspelt optional key is not
+    silently dropped."""
+    unknown = sorted(set(payload) - set(keys)) if isinstance(payload, dict) else []
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise ValueError(f"unknown {what} key{plural} {', '.join(map(repr, unknown))}; known: {', '.join(keys)}")
+
+
 _STRATEGIES = {
     "constant": (Constant, 1),
     "uniform_random": (UniformRandom, 2),
@@ -343,13 +352,19 @@ def read_consensus_config(path):
     convergence_epsilon, seed, stream, and adversaries as a list of
     {"node": .., "strategy": constant|uniform_random|ramp, "params": [..]}.
 
-    Malformed content raises ValueError with a message naming the path.
+    Malformed content, an unknown key among them, raises ValueError with a
+    message naming the path.
     """
     with _reading(path, "config") as fh:
         payload = _json_object(fh.read(), "consensus config")
+        _known_keys(payload, (
+            "f_parameter", "initial_values", "filter_mode", "max_rounds",
+            "convergence_epsilon", "seed", "stream", "adversaries",
+        ), "consensus config")
         initial = [_real(v, "initial value") for v in payload["initial_values"]]
         adversaries = {}
         for entry in payload.get("adversaries", []):
+            _known_keys(entry, ("node", "strategy", "params"), "adversary entry")
             if entry["strategy"] not in _STRATEGIES:
                 raise ValueError(f"unknown adversary strategy {entry['strategy']!r}")
             cls, arity = _STRATEGIES[entry["strategy"]]
@@ -412,9 +427,13 @@ def read_sweep_spec(path) -> SweepSpec:
     """JSON sweep spec. Keys: family, n (or l), r, trials, seed, and
     optionally stream, offsets, properties, exact_limit.
 
-    Malformed content raises ValueError with a message naming the path."""
+    Malformed content, an unknown key among them, raises ValueError with a
+    message naming the path."""
     with _reading(path, "spec") as fh:
         payload = _json_object(fh.read(), "sweep spec")
+        _known_keys(payload, (
+            "family", "n", "l", "r", "trials", "seed", "stream", "offsets", "properties", "exact_limit",
+        ), "sweep spec")
         family = payload["family"]
         if "n" in payload and "l" in payload:
             raise ValueError("give n or l, not both")

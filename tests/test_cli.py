@@ -189,7 +189,12 @@ def test_hostile_formula_is_a_plain_error(tmp_path, capsys, text):
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS])
+# gap8 has 8 nodes, so node 9 is outside it
+ADVERSARY_OUTSIDE = '{"f_parameter": 1, "initial_values": [1, 2, 3, 4, 5, 6, 7, 8], "adversaries": [{"node": 9, ' \
+    '"strategy": "constant", "params": [1]}]}'
+
+
+@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS] + [ADVERSARY_OUTSIDE])
 def test_hostile_consensus_config_is_a_plain_error(gap8, tmp_path, capsys, text):
     p = tmp_path / "consensus.json"
     write_input(p, text)
@@ -198,13 +203,38 @@ def test_hostile_consensus_config_is_a_plain_error(gap8, tmp_path, capsys, text)
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ["0 x\n", "-1\n", b"0 1 \x892\n"])
+@pytest.mark.parametrize("text", ["0 x\n", "-1\n", b"0 1 \x892\n", "0 9\n"])
 def test_hostile_seed_set_is_a_plain_error(gap8, tmp_path, capsys, text):
     p = tmp_path / "seeds.txt"
     write_input(p, text)
     assert main(["cascade", "--graph", gap8, "--seed-set", str(p), "--threshold", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+def test_node_ids_outside_the_graph_name_the_file_and_the_node(gap8, tmp_path, capsys):
+    seeds, config = tmp_path / "seeds.txt", tmp_path / "consensus.json"
+    seeds.write_text("0 9 12\n")
+    config.write_text(ADVERSARY_OUTSIDE)
+    assert main(["cascade", "--graph", gap8, "--seed-set", str(seeds), "--threshold", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {seeds}: seed set contains nodes outside the graph: node 9 (the graph has 8 nodes)\n"
+    )
+    assert main(["consensus", "--graph", gap8, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: adversary set contains nodes outside the graph: node 9 (the graph has 8 nodes)\n"
+    )
+
+
+def test_unknown_json_keys_are_refused(gap8, tmp_path, capsys):
+    config, spec = tmp_path / "consensus.json", tmp_path / "spec.json"
+    config.write_text(json.dumps({"f_parameter": 0, "initial_values": [0.0] * 8, "adversary_set": [9]}))
+    assert main(["consensus", "--graph", gap8, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: unknown consensus config key 'adversary_set'")
+    spec.write_text(json.dumps({"family": "erdos_renyi", "n": 8, "r": 1, "trials": 1, "seed": 0, "exact_limt": 9}))
+    assert main(["sweep", "er", "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: unknown sweep spec key 'exact_limt'")
 
 
 def test_sweep_ba_with_a_repeated_property(tmp_path, capsys):
@@ -299,6 +329,21 @@ def test_cascade_command(tmp_path, capsys):
                  "--threshold", "1", "--out", str(out)]) == 0
     assert "infected: 4/4 rounds: 3" in capsys.readouterr().err
     assert out.read_text().splitlines()[1:] == ["0,1,1", "1,2,1", "2,3,1", "3,4,1"]
+
+
+def test_cascade_with_a_huge_threshold_infects_only_the_seeds(k8, tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 1\n")
+    tracemalloc.start()
+    try:
+        assert main(["cascade", "--graph", k8, "--seed-set", str(seeds), "--threshold", "1000000000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["round,infected_count,newly_infected", "0,2,2"]
+    assert captured.err == "infected: 2/8 rounds: 0\n"
+    assert peak < 1 << 20
 
 
 def test_gadget_command(tmp_path, capsys):

@@ -571,6 +571,34 @@ def test_best_drops_after_part_of_the_closure_ran(monkeypatch, caplog):
     assert flows == [(0, 7, 3, 3), (0, 8, 3, 3), (0, 7, 4, 3)]
 
 
+# (seed, k, exact, _ladder result) on glued graphs where a short flow lowers
+# best, some of them twice; the contagion recounts at each lower best.
+LADDER_DROPS = [
+    (0, 3, True, (2, "flowed pairs=1, closed=20, seeded=1, augmented=1")),
+    (3, 4, True, (3, "flowed pairs=5, closed=40, seeded=14, augmented=1")),
+    (3, 4, False, (3, "flowed pairs=1, closed=14, seeded=2, augmented=1")),
+    (7, 6, True, (5, "flowed pairs=9, closed=24, seeded=44, augmented=1")),
+    (13, 7, True, (3, "flowed pairs=7, closed=28, seeded=24, augmented=1")),
+    (29, 5, True, (4, "flowed pairs=7, closed=32, seeded=28, augmented=0")),
+    (50, 6, True, (4, "flowed pairs=9, closed=35, seeded=34, augmented=2")),
+    (68, 12, True, (2, "flowed pairs=6, closed=8, seeded=62, augmented=0")),
+    (81, 10, True, (4, "flowed pairs=26, closed=34, seeded=125, augmented=3")),
+    (81, 10, False, (4, "flowed pairs=5, closed=13, seeded=41, augmented=3")),
+    (134, 13, True, (3, "flowed pairs=35, closed=33, seeded=144, augmented=1")),
+    (138, 10, True, (5, "flowed pairs=18, closed=23, seeded=99, augmented=1")),
+    (295, 12, True, (4, "flowed pairs=25, closed=26, seeded=129, augmented=0")),
+    (295, 12, False, (9, "flowed pairs=4, closed=4, seeded=45, augmented=0")),
+]
+
+
+@pytest.mark.parametrize("seed, k, exact, expected", LADDER_DROPS)
+def test_ladder_results_where_a_flow_lowers_best(seed, k, exact, expected):
+    rng = random.Random(seed)
+    g = glued(rng, rng.randint(12, 30), rng.randint(12, 30), rng.randint(2, 5), rng.choice((0.3, 0.45, 0.6)))
+    assert is_connected(g) and k <= min_degree(g)
+    assert connectivity._ladder(g, k, exact) == expected
+
+
 def min_degree_node_in_every_minimum_cut() -> Graph:
     """Node 0 sees 1, 2 of the 5-clique 1..5 and 6, 7 of the 5-clique 6..10,
     which are otherwise joined by 3-8 and 4-9 only: every 3-node cut holds 0,

@@ -30,7 +30,18 @@ from netrobust.dynamics import (
 )
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import RngSeed, gen_erdos_renyi, gen_preferential, rng_for
-from netrobust.graph import Graph, _spread, complete, counterexample, cycle, is_connected, iter_bits, mask_of, path
+from netrobust.graph import (
+    _LEVELS_UPTO,
+    Graph,
+    _spread,
+    complete,
+    counterexample,
+    cycle,
+    is_connected,
+    iter_bits,
+    mask_of,
+    path,
+)
 from netrobust.robustness import check_subsets_reachable
 
 
@@ -336,20 +347,33 @@ def test_simulate_walk_bounds_its_closures(monkeypatch):
     assert calls[0] <= 250  # the literal loop, stopping at a first failure, runs 1,855
 
 
-def test_spread_from_a_fixpoint_needs_only_the_new_frontier():
+def recounted_levels(adj, infected, r):
+    """levels[k]: the nodes with more than k neighbours in infected, counted
+    node by node."""
+    counts = [(row & infected).bit_count() for row in adj]
+    return [sum(1 << v for v, c in enumerate(counts) if c > k) for k in range(r)]
+
+
+def test_spread_from_a_fixpoint_carries_its_levels():
     rng = random.Random(2718)
     checked = 0
     for _ in range(300):
         n = rng.randint(2, 14)
         g = seeded_graph(rng, n)
-        r = rng.randint(1, 4)
+        r = rng.randint(1, 5)
         seeds = mask_of(rng.sample(range(n), rng.randint(0, n)))
-        fixpoint = seeds + sum(_spread(g.adj, seeds, r))
+        levels = [0] * r
+        fixpoint = seeds + sum(_spread(g.adj, seeds, r, None, levels))
+        if r <= _LEVELS_UPTO:
+            assert levels == recounted_levels(g.adj, fixpoint, r), (n, r, seeds)
         outside = [v for v in range(n) if not fixpoint >> v & 1]
         if outside:
             newly = mask_of(rng.sample(outside, rng.randint(1, len(outside))))
             imask = fixpoint | newly
-            assert list(_spread(g.adj, imask, r, newly)) == list(_spread(g.adj, imask, r)), (n, r, seeds, newly)
+            rounds = list(_spread(g.adj, imask, r, newly, levels))
+            assert rounds == list(_spread(g.adj, imask, r)), (n, r, seeds, newly)
+            if r <= _LEVELS_UPTO:
+                assert levels == recounted_levels(g.adj, imask + sum(rounds), r), (n, r, seeds, newly)
             checked += 1
     assert checked > 150
 

@@ -1,6 +1,8 @@
 """Seeded generator behavior: determinism, parameter validation, and the
 shape facts each family guarantees by construction."""
 
+import bisect
+import itertools
 import math
 import tracemalloc
 
@@ -289,3 +291,45 @@ def test_ba_determinism_across_calls():
     b = gen_preferential(20, 2, RngSeed(8, 4))
     assert a == b
     assert a != gen_preferential(20, 2, RngSeed(8, 5))
+
+
+def reference_preferential(n, r, seed, seed_graph):
+    """The literal sampler: prefix sums of all degrees and bisect_right for
+    every draw, from the same generator stream."""
+    rng = rng_for(seed)
+    edges = list(seed_graph.edges())
+    degrees = [seed_graph.degree(v) for v in range(seed_graph.n)] + [0] * (n - seed_graph.n)
+    for new in range(seed_graph.n, n):
+        cum = list(itertools.accumulate(degrees[:new]))
+        chosen = set()
+        while len(chosen) < r:
+            if cum[-1] == 0:
+                chosen.add(int(rng.integers(new)))
+            else:
+                chosen.add(bisect.bisect_right(cum, rng.random() * cum[-1]))
+        for v in sorted(chosen):
+            edges.append((v, new))
+            degrees[v] += 1
+        degrees[new] = r
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "r, seed_graph",
+    [
+        (1, None),
+        (2, None),
+        (3, None),
+        (5, None),
+        (1, Graph(1)),
+        (2, cycle(5)),
+        (3, Graph(3)),
+        (2, Graph(4, [(0, 1), (2, 3)])),
+        (3, complete(6)),
+    ],
+)
+def test_ba_matches_the_prefix_sum_sampler(r, seed_graph):
+    start = complete(2 * r - 1) if seed_graph is None else seed_graph
+    for k, n in enumerate((start.n, start.n + 1, start.n + 7, 40, 130)):
+        seed = RngSeed(31 + k, r)
+        assert gen_preferential(n, r, seed, seed_graph=seed_graph) == reference_preferential(n, r, seed, start), (n, r)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from netrobust.graph import (
     Graph,
+    _spread,
     complete,
     component_masks,
     counterexample,
@@ -114,3 +117,46 @@ def test_graph_equality():
     assert Graph(3, [(0, 1)]) == Graph(3, [(0, 1)])
     assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
     assert Graph(3) != Graph(4)
+
+
+# --- threshold contagion against a per-node count ----------------------------
+
+
+def reference_rounds(nbrs, seeds, r):
+    """Synchronous threshold-r contagion from the seed set: each round infects
+    every uninfected node with at least r infected neighbours, counted one by
+    one, until a round infects none."""
+    infected, rounds = set(seeds), []
+    while True:
+        newly = {v for v in range(len(nbrs)) if v not in infected and sum(u in infected for u in nbrs[v]) >= r}
+        if not newly:
+            return rounds
+        rounds.append(newly)
+        infected |= newly
+
+
+def random_neighbours(rng, n):
+    p = rng.choice((0.0, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0))
+    nbrs = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    return nbrs
+
+
+def test_spread_rounds_match_a_per_node_count():
+    rng = random.Random(1618)
+    thresholds = set()
+    for _ in range(520):
+        n = rng.randint(2, 60)
+        nbrs = random_neighbours(rng, n)
+        adj = [sum(1 << u for u in row) for row in nbrs]
+        drawn = rng.sample(range(n), rng.randint(0, n))
+        for seeds in (drawn, [], [rng.randrange(n)], list(range(n))):
+            for r in {rng.randint(1, 3), rng.randint(4, 8), n, n + rng.randint(1, 5)}:
+                got = [{v for v in range(n) if mask >> v & 1} for mask in _spread(adj, sum(1 << v for v in seeds), r)]
+                assert got == reference_rounds(nbrs, seeds, r), (n, r, seeds)
+                thresholds.add(r)
+    assert set(range(1, 9)) <= thresholds

@@ -374,6 +374,12 @@ HOSTILE_CONSENSUS_CONFIGS = [
     ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1.2}', "seed must be an integer, got 1.2"),
     ('{"f_parameter": 1, "initial_values": [1, 2], "seed": 1, "stream": "2"}', "stream must be an integer, got '2'"),
     (b'{"f_parameter": 1, "initial_values": [1, 2], "filter_mode": "strict \xe9"}', "can't decode byte 0xe9"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversary_set": [9]}',
+     "unknown consensus config key 'adversary_set'"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "seeds": 1, "rounds": 5}',
+     "unknown consensus config keys 'rounds', 'seeds'"),
+    ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [{"node": 0, "strategy": "constant", '
+     '"param": [1]}]}', "unknown adversary entry key 'param'"),
 ]
 
 
@@ -491,6 +497,10 @@ def test_sweep_spec_offsets_are_checked_per_family(tmp_path, family, offsets, me
         ('{"family": "geometric1d", "l": "6", "r": 2, "trials": 3, "seed": 1, "offsets": [[1, 1]]}',
          "l must be a finite real number, got '6'"),
         ('{"family": "geometric1d", "l": 6.0, "r": 2, "trials": 3, "seed": 1}', "missing spec key 'offsets'"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "offset": [0.5]}',
+         "unknown sweep spec key 'offset'"),
+        ('{"family": "erdos_renyi", "n": 12, "r": 2, "trials": 3, "seed": 1, "exact_limt": 20}',
+         "unknown sweep spec key 'exact_limt'"),
     ],
 )
 def test_sweep_spec_errors_name_the_path(tmp_path, text, message):
