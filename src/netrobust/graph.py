@@ -127,8 +127,9 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _component(g, 0) == g.full_mask()
 
 
-# Up to this threshold _spread keeps bit-row counts of infected neighbours;
-# above it the carry through the levels costs more than a popcount test saves.
+# Up to this threshold _spread keeps bit-row counts of infected neighbours.
+# A row's carry can climb r - 1 levels, so above it the popcount test wins on
+# dense graphs with many seeds (timings in README, "How the dynamics run").
 _LEVELS_UPTO = 3
 
 
