@@ -112,6 +112,8 @@ def _cmd_consensus(args) -> int:
     g = nio.read_graph(args.graph)
     config, initial = nio.read_consensus_config(args.config)
     _check_nodes(g, config.adversary_set, args.config, "adversary set")
+    if len(initial) != g.n:
+        raise ValueError(f"{args.config}: {len(initial)} initial values for {g.n} nodes; one per node required")
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=RngSeed(args.seed, args.stream))
     trace = run_consensus(g, initial, config)

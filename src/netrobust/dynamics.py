@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ResourceGuardError
 from .graph import Graph, _node_mask, _spread, iter_bits, set_of
 from .generators import rng_for
-from .robustness import check_subsets_reachable
+from .robustness import _every_seed_set_spreads, check_subsets_reachable
 
 _log = logging.getLogger("netrobust.dynamics")
 
@@ -274,11 +274,10 @@ def cascade_trace(g: Graph, initial: frozenset, r: int):
 def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> bool:
     """Whether threshold-r contagion from every size-m seed set infects all nodes.
 
-    exact: equivalent subset-reachability check (every set with size <= n-m
-    must be r-reachable). simulate: the contagion closure of every seed set
-    (guarded), reached depth-first over seed prefixes in combination order:
-    cl(T + u) = cl(cl(T) + u), and once a prefix infects all, so does every
-    seed set that extends it.
+    Both methods run one walk over the seed sets (_every_seed_set_spreads).
+    exact: the subset-reachability check (every set with size <= n-m must be
+    r-reachable), which is that walk behind the subset guard. simulate: the
+    walk itself, behind the tighter SIMULATE_NODE_LIMIT guard.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -294,23 +293,5 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
                 f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
                 f"the guard {SIMULATE_NODE_LIMIT}"
             )
-        n, adj, full = g.n, g.adj, g.full_mask()
-
-        def walk(start: int, left: int, closure: int, levels: list) -> bool:
-            # Whether every left more seeds from start on complete the closure;
-            # levels count the closure's infected neighbours (see _spread).
-            if closure == full or not left:
-                return closure == full
-            for v in range(start, n - left + 1):
-                bit = 1 << v
-                if closure & bit:
-                    grown, counts = closure, levels
-                else:
-                    counts = levels[:]
-                    grown = closure + bit + sum(_spread(adj, closure + bit, r, bit, counts))
-                if not walk(v + 1, left - 1, grown, counts):
-                    return False
-            return True
-
-        return walk(0, m, 0, [0] * r)
+        return _every_seed_set_spreads(g.adj, m, r)
     raise ValueError("method must be 'exact' or 'simulate'")

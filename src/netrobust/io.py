@@ -374,7 +374,10 @@ def read_consensus_config(path):
                     f"strategy {entry['strategy']} takes {arity} parameter(s)"
                 )
             params = [_real(p, "strategy parameter") for p in params]
-            adversaries[_integer(entry["node"], "adversary node")] = cls(*params)
+            node = _integer(entry["node"], "adversary node")
+            if node in adversaries:
+                raise ValueError(f"adversary node {node} is listed twice")
+            adversaries[node] = cls(*params)
         seed = payload.get("seed")
         if seed is not None:
             seed = RngSeed(_integer(seed, "seed"), _integer(payload.get("stream", 0), "stream"))

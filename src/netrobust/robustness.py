@@ -25,7 +25,7 @@ DEFAULT_NODE_LIMIT = 25
 # Hard guard for the literal pair-enumeration oracle (3^n pairs).
 ORACLE_NODE_LIMIT = 12
 
-# Guard for subset enumeration (2^n subsets).
+# Guard for subset reachability, which walks up to C(n, cap) seed sets.
 SUBSET_ENUM_LIMIT = 26
 
 _A, _B, _X = 0, 1, 2
@@ -428,10 +428,12 @@ def _subset_guard(n: int, cap: int) -> None:
 def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:
     """True iff every nonempty node set of size <= cap is r-reachable.
 
-    Exact enumeration with early exit. Note the one-directional bridge to
-    robustness: if this holds with cap = floor(n/2) the graph is r-robust
-    (the smaller set of any disjoint pair fits under the cap); the converse
-    fails in general.
+    A set S is not r-reachable exactly when threshold-r contagion from V - S
+    never enters it, so this asks whether every seed set of n - cap nodes
+    infects all nodes (_every_seed_set_spreads). Note the one-directional
+    bridge to robustness: if this holds with cap = floor(n/2) the graph is
+    r-robust (the smaller set of any disjoint pair fits under the cap); the
+    converse fails in general.
     """
     n = g.n
     _subset_guard(n, cap)
@@ -439,21 +441,35 @@ def check_subsets_reachable(g: Graph, r: int, cap: int) -> bool:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return True
-    adj = g.adj
-    for m in range(1, 1 << n):
-        if m.bit_count() > cap:
-            continue
-        mm = m
-        ok = False
-        while mm:
-            vb = mm & -mm
-            mm ^= vb
-            if (adj[vb.bit_length() - 1] & ~m).bit_count() >= r:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    if r > min_degree(g):
+        return False  # a node of lower degree is a singleton that is not r-reachable
+    return _every_seed_set_spreads(g.adj, n - cap, r)
+
+
+def _every_seed_set_spreads(adj: list, m: int, r: int) -> bool:
+    """Whether threshold-r contagion (r >= 1) from every m-node seed set
+    infects all nodes: the closure of every seed set, reached depth-first over
+    seed prefixes in combination order: cl(T + u) = cl(cl(T) + u), and once a
+    prefix infects all, so does every seed set that extends it."""
+    n, full = len(adj), (1 << len(adj)) - 1
+
+    def walk(start: int, left: int, closure: int, levels: list) -> bool:
+        # Whether every left more seeds from start on complete the closure;
+        # levels count the closure's infected neighbours (see _spread).
+        if closure == full or not left:
+            return closure == full
+        for v in range(start, n - left + 1):
+            bit = 1 << v
+            if closure & bit:
+                grown, counts = closure, levels
+            else:
+                counts = levels[:]
+                grown = closure + bit + sum(_spread(adj, closure + bit, r, bit, counts))
+            if not walk(v + 1, left - 1, grown, counts):
+                return False
+        return True
+
+    return walk(0, m, 0, [0] * r)
 
 
 def _naive_robustness(g: Graph) -> int:

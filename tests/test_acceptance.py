@@ -39,6 +39,7 @@ from netrobust.robustness import (
     naive_is_r_robust,
     robustness,
 )
+from test_robustness import least_reach
 
 
 def report(num: str, detail: str) -> None:
@@ -234,10 +235,12 @@ def test_criterion_09_contagion_equivalence():
     for k in range(40):
         n = 4 + k % 7
         g = gen_erdos_renyi(n, (0.3, 0.45, 0.6)[k % 3], RngSeed(99, k))
+        least = {m: least_reach(g, n - m) for m in range(1, n)}
         for r in (1, 2, 3, 4):
             for m in range(r, n):
                 exact = contagion_from_any_m(g, m, r)
                 assert exact == contagion_from_any_m(g, m, r, method="simulate"), (k, m, r)
+                assert exact == (r <= least[m]), (k, m, r)  # against every set of <= n - m nodes
                 checks += 1
     assert not contagion_from_any_m(counterexample(8), 4, 2)
     assert not contagion_from_any_m(counterexample(8), 4, 2, method="simulate")

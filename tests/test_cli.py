@@ -192,9 +192,11 @@ def test_hostile_formula_is_a_plain_error(tmp_path, capsys, text):
 # gap8 has 8 nodes, so node 9 is outside it
 ADVERSARY_OUTSIDE = '{"f_parameter": 1, "initial_values": [1, 2, 3, 4, 5, 6, 7, 8], "adversaries": [{"node": 9, ' \
     '"strategy": "constant", "params": [1]}]}'
+# two initial values for gap8's 8 nodes
+TOO_FEW_VALUES = '{"f_parameter": 0, "initial_values": [1, 2]}'
 
 
-@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS] + [ADVERSARY_OUTSIDE])
+@pytest.mark.parametrize("text", [text for text, _ in HOSTILE_CONSENSUS_CONFIGS] + [ADVERSARY_OUTSIDE, TOO_FEW_VALUES])
 def test_hostile_consensus_config_is_a_plain_error(gap8, tmp_path, capsys, text):
     p = tmp_path / "consensus.json"
     write_input(p, text)

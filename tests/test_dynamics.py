@@ -1,6 +1,7 @@
 """Resilient-averaging rounds and threshold cascades."""
 
 import functools
+import importlib
 import itertools
 import logging
 import operator
@@ -43,6 +44,7 @@ from netrobust.graph import (
     path,
 )
 from netrobust.robustness import check_subsets_reachable
+from test_robustness import least_reach
 
 
 # --- filtering ---------------------------------------------------------------
@@ -277,7 +279,8 @@ def test_contagion_validation():
 def test_exact_route_is_subset_reachability():
     g = cycle(8)
     for m in range(2, 8):
-        assert contagion_from_any_m(g, m, 2) == check_subsets_reachable(g, 2, 8 - m)
+        expected = 2 <= least_reach(g, 8 - m)
+        assert contagion_from_any_m(g, m, 2) == check_subsets_reachable(g, 2, 8 - m) == expected, m
 
 
 def test_exact_matches_simulation_on_seeded_batch():
@@ -336,7 +339,7 @@ def test_simulate_walk_bounds_its_closures(monkeypatch):
         calls[0] += 1
         return _spread(*args)
 
-    monkeypatch.setattr(dynamics, "_spread", counting)
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_spread", counting)
     assert contagion_from_any_m(complete(12), 6, 1, method="simulate")
     assert calls[0] <= 12  # the literal loop runs C(12, 6) = 924 cascades
     calls[0] = 0

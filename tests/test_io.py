@@ -380,6 +380,8 @@ HOSTILE_CONSENSUS_CONFIGS = [
      "unknown consensus config keys 'rounds', 'seeds'"),
     ('{"f_parameter": 1, "initial_values": [1, 2], "adversaries": [{"node": 0, "strategy": "constant", '
      '"param": [1]}]}', "unknown adversary entry key 'param'"),
+    ('{"f_parameter": 1, "initial_values": [1, 2, 3, 4], "adversaries": [{"node": 1, "strategy": "constant", '
+     '"params": [1]}, {"node": 1, "strategy": "ramp", "params": [0, 1]}]}', "adversary node 1 is listed twice"),
 ]
 
 

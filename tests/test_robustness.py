@@ -5,6 +5,7 @@ must match it exactly on everything small enough to enumerate.
 """
 
 import importlib
+import itertools
 import logging
 import math
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from netrobust.connectivity import vertex_connectivity
+from netrobust.dynamics import contagion_from_any_m
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import RngSeed, gen_preferential
 from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, mask_of, min_degree, path
@@ -581,11 +583,22 @@ def test_closure_certificate_changes_no_answer(monkeypatch):
 # --- subset reachability ----------------------------------------------------
 
 
+def least_reach(g: Graph, cap: int) -> int:
+    """The least reach index over the nonempty node sets of at most cap nodes,
+    set by set (itertools and reach_index share no code with _spread): every
+    such set is r-reachable exactly when r <= this."""
+    sizes = range(1, cap + 1)
+    sets = itertools.chain.from_iterable(itertools.combinations(range(g.n), k) for k in sizes)
+    return min(reach_index(g, frozenset(s)) for s in sets)
+
+
 def test_check_subsets_reachable_examples():
     # K_5: every strict subset has a node seeing everything outside
     assert check_subsets_reachable(complete(5), 2, 3)
     # a path endpoint pair {0,1} has reach 1 only
     assert not check_subsets_reachable(path(5), 2, 2)
+    # an endpoint's singleton is not r-reachable; nothing is sized by r
+    assert not check_subsets_reachable(path(5), 10**9, 2)
     with pytest.raises(ValueError, match="cap must be"):
         check_subsets_reachable(path(5), 1, 0)
     with pytest.raises(ResourceGuardError):
@@ -599,6 +612,26 @@ def test_subset_reachability_does_not_follow_from_robustness():
     assert is_r_robust(g, 2)
     assert reach_index(g, frozenset({0, 1, 2})) == 1
     assert not check_subsets_reachable(g, 2, 3)
+
+
+def test_subset_reachability_matches_the_set_by_set_oracle():
+    rng = random.Random(1812)
+    graphs_ = [random_graph(rng, n, p) for n in range(2, 13) for p in (0.0, 0.3, 0.5, 0.7, 1.0)]
+    graphs_ += [random_graph(rng, rng.randint(2, 9), rng.random()) for _ in range(60)]
+    graphs_ += [counterexample(8), counterexample(12), path(12), cycle(11)]
+    checked = 0
+    for g in graphs_:
+        above = max(g.degree(v) for v in range(g.n)) + 1
+        for cap in range(1, g.n):
+            least, m = least_reach(g, cap), g.n - cap
+            for r in (*range(6), above):
+                expected = r <= least
+                assert check_subsets_reachable(g, r, cap) == expected, (g.n, list(g.edges()), r, cap)
+                if 1 <= r <= m:
+                    assert contagion_from_any_m(g, m, r) == expected, (g.n, list(g.edges()), r, cap)
+                    assert contagion_from_any_m(g, m, r, method="simulate") == expected, (g.n, list(g.edges()), r, cap)
+                    checked += 1
+    assert checked > 1000, checked
 
 
 @settings(max_examples=150, deadline=None)
