@@ -164,15 +164,16 @@ def _record(spec: SweepSpec, n_or_l, param, prop: str, hits: int, flags: str = "
     )
 
 
-def _guard_er_sweep(spec: SweepSpec, n: int) -> None:
-    """Raise every size guard the requested properties can trip, before any
-    trial is sampled: the degree prefilter and the monotone skip in
-    run_er_sweep may never evaluate the property that would trip it."""
-    _er_guard(n)
-    if "r_robust" in spec.properties:
+def _guard_sweep(spec: SweepSpec, n: int, exact: bool = False) -> None:
+    """Raise every size guard a point of n nodes can trip. Each runner calls
+    this for every point before it samples a trial, so no guard fires after
+    work is done; the degree prefilter and the monotone skip in run_er_sweep
+    may never even evaluate the property that would trip it. exact: the
+    runner computes robustness whatever the properties."""
+    if exact or "r_robust" in spec.properties:
         if n > spec.exact_limit:
             raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
-        if spec.r >= 2:  # r = 1 is connectivity and runs no cut search
+        if exact or spec.r >= 2:  # r-robust with r = 1 is connectivity and runs no cut search
             _guard(n, DEFAULT_NODE_LIMIT)
     for prop in spec.properties:
         kind, cap = _parse_property(prop)
@@ -205,7 +206,8 @@ def run_er_sweep(spec: SweepSpec):
         raise ValueError("spec family must be erdos_renyi")
     n = int(spec.n_or_l)
     t = threshold_p(n, spec.r)
-    _guard_er_sweep(spec, n)
+    _er_guard(n)
+    _guard_sweep(spec, n)
     points = []
     for x in spec.offsets:
         raw = t + float(x) / n
@@ -255,7 +257,7 @@ def run_geometric_sweep(spec: SweepSpec):
     side = float(spec.n_or_l)
     if side <= 1.0:
         raise ValueError("side length must exceed 1")
-    records = []
+    points = []
     for k, radius in spec.offsets:
         k = float(k)
         radius = float(radius)
@@ -264,8 +266,10 @@ def run_geometric_sweep(spec: SweepSpec):
         n = round(k * side * math.log(side) / radius)
         if n < 2:
             raise ValueError(f"point (k={k}, radius={radius}) yields n={n} < 2")
-        if n > spec.exact_limit:
-            raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
+        _guard_sweep(spec, n, exact=True)
+        points.append((k, radius, n))
+    records = []
+    for k, radius, n in points:
         extra = ("connectivity_equals_robustness", "spread_exceeds_3rho")
         counts = {prop: 0 for prop in spec.properties + extra}
         for trial in range(spec.trials):
@@ -290,8 +294,7 @@ def run_ba_trials(spec: SweepSpec):
         raise ValueError("spec family must be preferential")
     n = int(spec.n_or_l)
     _pa_guard(n)
-    if "r_robust" in spec.properties and n > spec.exact_limit:
-        raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
+    _guard_sweep(spec, n)
     counts = {prop: 0 for prop in spec.properties}
     for k in range(spec.trials):
         g = gen_preferential(n, spec.r, spec.base_seed.child(k))

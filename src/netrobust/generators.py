@@ -51,10 +51,12 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # Guards for G(n, p), which draws n(n-1)/2 float64 uniforms and a boolean mask
-# over them, and for preferential attachment, which keeps a Fenwick tree of n
-# degrees and n adjacency rows.
+# over them, for preferential attachment, which keeps a Fenwick tree of n
+# degrees and n adjacency rows, and for geometric placements, whose distance
+# graph tests all n(n-1)/2 pairs in a Python loop (9 s at n = 5,000).
 ER_NODE_LIMIT = 5000
 PA_NODE_LIMIT = 5000
+GEOM_NODE_LIMIT = 5000
 
 
 def _er_guard(n: int) -> None:
@@ -69,6 +71,13 @@ def _pa_guard(n: int) -> None:
     if n > PA_NODE_LIMIT:
         raise ResourceGuardError(
             f"preferential attachment: n={n} exceeds the guard PA_NODE_LIMIT = {PA_NODE_LIMIT}"
+        )
+
+
+def _geom_guard(n: int) -> None:
+    if n > GEOM_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"geometric placement: n={n} exceeds the guard GEOM_NODE_LIMIT = {GEOM_NODE_LIMIT}"
         )
 
 
@@ -171,6 +180,7 @@ def gen_geometric(n: int, radius: float, side_length: float, dimension: int, see
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _geom_guard(n)
     coords = rng_for(seed).random((n, dimension)) * side_length
     if dimension == 1:
         order = np.argsort(coords[:, 0], kind="stable")

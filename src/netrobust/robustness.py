@@ -11,10 +11,7 @@ node limit on all search entry points.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ResourceGuardError
 from .graph import Graph, _component, _node_mask, _spread, is_connected, iter_bits, min_degree, set_of
@@ -25,7 +22,8 @@ DEFAULT_NODE_LIMIT = 25
 # Hard guard for the literal pair-enumeration oracle (3^n pairs).
 ORACLE_NODE_LIMIT = 12
 
-# Guard for subset reachability, which walks up to C(n, cap) seed sets.
+# Guard for subset reachability, whose walk visits up to C(n + 1, n - cap)
+# seed-set prefixes: those of every (n - cap)-node seed set, empty one included.
 SUBSET_ENUM_LIMIT = 26
 
 _A, _B, _X = 0, 1, 2
@@ -308,14 +306,10 @@ def _bounds(g: Graph) -> tuple:
     decision log.
 
     ub = min(delta, ceil(n/2)): a min-degree singleton against the rest, or a
-    balanced bipartition, is always a cut. lb is the largest of 1
-    (connected), delta + 1 - floor(n/2) (the smaller side S of a cut has
-    |S| <= n/2, so each of its nodes keeps delta - |S| + 1 outside
-    neighbors) and ceil(lambda2/2) (that side has |dS| <= rho |S|, and
-    Mohar's isoperimetric bound gives |dS| >= lambda2 |S| / 2). lambda2 <=
-    kappa <= delta off the complete graph, so the spectral term can only
-    help when ceil(delta/2) beats the other two; only then is it computed.
-    Before it, lb = ub if a clique's closure certifies ub (_clique_closure).
+    balanced bipartition, is always a cut. lb is the larger of 1 (connected)
+    and delta + 1 - floor(n/2) (the smaller side S of a cut has |S| <= n/2,
+    so each of its nodes keeps delta - |S| + 1 outside neighbors), raised to
+    ub if a clique's closure certifies ub (_clique_closure).
     """
     n = g.n
     delta = min_degree(g)
@@ -325,12 +319,6 @@ def _bounds(g: Graph) -> tuple:
     lb_from = "delta" if lb > 1 else "connectivity"
     if lb < ub and _clique_closure(g.adj, ub):
         lb, lb_from = ub, "closure"
-    if lb < ub and (delta + 1) // 2 > lb:
-        # The margin absorbs eigvalsh's rounding error (far below 1e-9 at
-        # these sizes); lowering lb only costs search, never correctness.
-        spectral = math.ceil(_algebraic_connectivity(g) / 2 - 1e-9)
-        if spectral > lb:
-            lb, lb_from = spectral, "lambda2"
     return lb, ub, lb_from, ub_from
 
 
@@ -350,17 +338,6 @@ def _clique_closure(adj: list, r: int) -> bool:
         if clique.bit_count() >= need and clique + sum(_spread(adj, clique, r)) == (1 << len(adj)) - 1:
             return True
     return False
-
-
-def _algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest eigenvalue of the Laplacian, built from the bit rows."""
-    n = g.n
-    width = (n + 7) // 8
-    packed = b"".join(row.to_bytes(width, "little") for row in g.adj)
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-    adjacency = bits.reshape(n, 8 * width)[:, :n].astype(float)
-    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
-    return float(np.linalg.eigvalsh(laplacian)[1])
 
 
 def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:

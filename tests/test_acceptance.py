@@ -34,9 +34,9 @@ from netrobust.hardness import (
     verify_cut,
 )
 from netrobust.robustness import (
+    _naive_robustness,
     find_relaxed_degree_cut,
     is_r_robust,
-    naive_is_r_robust,
     robustness,
 )
 from test_robustness import least_reach
@@ -82,8 +82,9 @@ def test_criterion_02_complete_graph_law():
 def test_criterion_03_oracle_equivalence(er_corpus):
     checks = 0
     for g in er_corpus:
+        exact = _naive_robustness(g)  # naive_is_r_robust(g, r) is r <= exact
         for r in range(6):
-            assert is_r_robust(g, r) == naive_is_r_robust(g, r), (g.n, list(g.edges()), r)
+            assert is_r_robust(g, r) == (r <= exact), (g.n, list(g.edges()), r)
             checks += 1
     report("03", f"cut search matches the enumeration oracle on {len(er_corpus)} graphs, {checks} decisions")
 

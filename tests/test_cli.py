@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
-from netrobust.generators import ER_NODE_LIMIT, PA_NODE_LIMIT
+from netrobust.generators import ER_NODE_LIMIT, GEOM_NODE_LIMIT, PA_NODE_LIMIT
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
@@ -417,6 +417,15 @@ def test_ba_size_guard_refuses_before_building(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert not out.exists()
+
+
+def test_geom_size_guard_refuses_before_drawing(tmp_path, capsys):
+    # the distance graph tests every pair in Python: 9 s at n = 5,000
+    out = tmp_path / "out"
+    for n in (GEOM_NODE_LIMIT + 1, 10**6):
+        assert main(["gen", "geom", "--n", str(n), "--radius", "0.1", "--out", str(out)]) == 2
+        assert f"n={n} exceeds the guard GEOM_NODE_LIMIT = 5000" in capsys.readouterr().err
     assert not out.exists()
 
 

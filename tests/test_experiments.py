@@ -246,11 +246,15 @@ def test_er_sweep_without_offsets_has_no_records():
     assert run_er_sweep(SweepSpec("erdos_renyi", 10, 2, 3, 1, offsets=())) == []
 
 
-def test_er_sweep_guards_fire_before_sampling(monkeypatch):
+def _refuse_sampling(monkeypatch, name):
     def no_sampling(*args):
         raise AssertionError("a trial was sampled")
 
-    monkeypatch.setattr(experiments, "pair_uniforms", no_sampling)
+    monkeypatch.setattr(experiments, name, no_sampling)
+
+
+def test_er_sweep_guards_fire_before_sampling(monkeypatch):
+    _refuse_sampling(monkeypatch, "pair_uniforms")
     # every offset clamps to p = 0, where no property would be evaluated
     empty = dict(offsets=(-1000.0,), trials=2)
     n = SUBSET_ENUM_LIMIT + 1
@@ -351,6 +355,32 @@ def test_geometric_sweep_evaluates_a_repeated_property_once(monkeypatch):
     )
     assert records[:2] == [single[0], single[0]] and records[2:] == single[1:]
     assert 0.0 < records[0].estimate < 1.0
+
+
+def test_geometric_sweep_guards_fire_before_sampling(monkeypatch):
+    _refuse_sampling(monkeypatch, "gen_geometric")
+    # the points have n = 7 and n = 28; only the second trips a guard
+    points = dict(offsets=((1.0, 0.2), (4.0, 0.2)), trials=50)
+    with pytest.raises(ValueError, match="n <= 22"):
+        run_geometric_sweep(SweepSpec("geometric1d", 2.0, 2, base_seed=1, properties=("r_robust",), **points))
+    # robustness is always recorded, so the node limit binds even without r_robust
+    with pytest.raises(ResourceGuardError, match="node limit"):
+        run_geometric_sweep(SweepSpec("geometric1d", 2.0, 1, base_seed=1, properties=(), exact_limit=28, **points))
+    with pytest.raises(ValueError, match="cap must be between"):
+        run_geometric_sweep(SweepSpec("geometric1d", 2.0, 2, base_seed=1, properties=("s_property:10",), **points))
+
+
+def test_ba_trials_guards_fire_before_sampling(monkeypatch):
+    _refuse_sampling(monkeypatch, "gen_preferential")
+    with pytest.raises(ValueError, match="cap must be between"):
+        run_ba_trials(SweepSpec("preferential", 20, 2, 3, 1, properties=("r_robust", "s_property:30")))
+    with pytest.raises(ValueError, match="n <= 22"):
+        run_ba_trials(SweepSpec("preferential", 23, 2, 3, 1, properties=("r_robust",)))
+    n = DEFAULT_NODE_LIMIT + 1
+    with pytest.raises(ResourceGuardError, match="node limit"):
+        run_ba_trials(SweepSpec("preferential", n, 2, 3, 1, properties=("r_robust",), exact_limit=n))
+    with pytest.raises(ResourceGuardError, match="subset enumeration"):
+        run_ba_trials(SweepSpec("preferential", SUBSET_ENUM_LIMIT + 1, 2, 3, 1, properties=("s_property:2",)))
 
 
 # --- persistence ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from netrobust import generators
 from netrobust.errors import ResourceGuardError
 from netrobust.generators import (
     ER_NODE_LIMIT,
+    GEOM_NODE_LIMIT,
     PA_NODE_LIMIT,
     GeometricPlacement,
     RngSeed,
@@ -191,6 +192,19 @@ def test_placement_validation():
         GeometricPlacement(((0.0, 0.0),), 1.0, 0.5, 1)
     with pytest.raises(ValueError, match="outside the placement region"):
         GeometricPlacement(((2.0,),), 1.0, 0.5, 1)
+
+
+def test_geometric_node_guard_is_inclusive_and_raised_before_drawing(monkeypatch):
+    monkeypatch.setattr(generators, "GEOM_NODE_LIMIT", 5)
+    assert gen_geometric(5, 0.5, 1.0, 1, RngSeed(0))[0].n == 5
+
+    def no_draws(seed):
+        raise AssertionError("positions were drawn")
+
+    monkeypatch.setattr(generators, "rng_for", no_draws)
+    with pytest.raises(ResourceGuardError, match="n=6 exceeds the guard GEOM_NODE_LIMIT = 5"):
+        gen_geometric(6, 0.5, 1.0, 1, RngSeed(0))
+    assert GEOM_NODE_LIMIT == 5000
 
 
 def test_graph_from_placement_by_hand():

@@ -13,8 +13,8 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from netrobust.generators import RngSeed, gen_erdos_renyi, gen_preferential
-from netrobust.graph import Graph, counterexample, is_connected
-from netrobust.robustness import robustness
+from netrobust.graph import Graph, counterexample, is_connected, min_degree
+from netrobust.robustness import is_r_robust, robustness
 
 
 def milp_has_cut(g: Graph, rho: int) -> bool:
@@ -77,3 +77,21 @@ def test_robustness_matches_the_milp_oracle():
         assert milp_has_cut(g, r), context
         assert r == 0 or not milp_has_cut(g, r - 1), context
     assert seen >= {1, 2, 3, 4}
+
+
+def dense_corpus():
+    """Six connected G(n, p) graphs of 14-24 nodes at p = 0.5 and 0.6, each
+    with robustness below delta, so that the search covers most of [lb, ub).
+    Streams are picked to keep HiGHS well under a second per graph."""
+    for n, p, stream in ((14, 0.6, 1), (16, 0.5, 2), (18, 0.6, 2), (20, 0.5, 2), (22, 0.5, 0), (24, 0.5, 9)):
+        yield gen_erdos_renyi(n, p, RngSeed(7, stream))
+
+
+def test_dense_decisions_match_the_milp_oracle():
+    for g in dense_corpus():
+        r = robustness(g)
+        context = (g.n, list(g.edges()), r)
+        assert is_connected(g) and 1 < r < min_degree(g), context
+        assert milp_has_cut(g, r), context
+        assert not milp_has_cut(g, r - 1), context
+        assert is_r_robust(g, r) and not is_r_robust(g, r + 1), context

@@ -26,6 +26,7 @@ from netrobust.robustness import (
     _bounds,
     _clique_closure,
     _core,
+    _naive_robustness,
     _strong_pairs,
     _tie_classes,
     check_subsets_reachable,
@@ -315,8 +316,9 @@ def test_search_agrees_with_oracle_on_seeded_batch():
     for _ in range(60):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        exact = _naive_robustness(g)  # naive_is_r_robust(g, r) is r <= exact
         for r in range(0, n + 1):
-            assert is_r_robust(g, r) == naive_is_r_robust(g, r), (g.n, list(g.edges()), r)
+            assert is_r_robust(g, r) == (r <= exact), (g.n, list(g.edges()), r)
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():
@@ -453,9 +455,11 @@ def test_core_prune_cuts_the_refutation_work(monkeypatch):
 @given(graphs(min_n=2, max_n=12))
 def test_bounds_bracket_the_oracle(g):
     assume(is_connected(g))
-    lb, ub = _bounds(g)[:2]
-    exact = next(r for r in range(g.n + 1) if not naive_is_r_robust(g, r + 1))
-    assert lb <= exact <= ub
+    lb, ub, lb_from, ub_from = _bounds(g)
+    assert type(lb) is int and type(ub) is int
+    assert lb_from in {"connectivity", "delta", "closure"}
+    assert ub_from in {"delta", "ceil(n/2)"}
+    assert lb <= _naive_robustness(g) <= ub
 
 
 def test_decision_is_logged(caplog):
@@ -497,19 +501,18 @@ def test_closure_certificate_is_logged(caplog, monkeypatch):
     assert closures == [True]  # the log names the bound without a second closure
 
 
-def test_spectral_bound_is_logged(caplog, monkeypatch):
+def test_bipartite_bounds_leave_the_search_to_decide(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
     closures = count_closures(monkeypatch)
-    # K_{a,a} has lambda2 = a, which lifts lb from 1 to ceil(a/2); no clique
-    # of 2a - 1 nodes exists to certify ub = a. lambda2 <= delta off the
-    # complete graph, so the spectral bound never closes the gap by itself.
+    # K_{a,a} has no clique of 2a - 1 nodes to certify ub = a, and
+    # delta + 1 - floor(n/2) = 1, so the search starts from connectivity.
     for a in (3, 4):
         before = len(closures)
         assert robustness(Graph(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])) == 2
         assert len(closures) - before <= 1
     assert [rec.getMessage() for rec in caplog.records] == [
-        "robustness 2: searched rho=2..2 of [lb=2 from lambda2, ub=3 from delta)",
-        "robustness 2: searched rho=2..2 of [lb=2 from lambda2, ub=4 from delta)",
+        "robustness 2: searched rho=1..2 of [lb=1 from connectivity, ub=3 from delta)",
+        "robustness 2: searched rho=1..2 of [lb=1 from connectivity, ub=4 from delta)",
     ]
 
 
