@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = decided/completed, 2 = a resource guard tripped, 1 = any
-other error. Robustness decisions are exact branch-and-bound searches, which
-is also why large instances are refused by default (the decision problem is
-coNP-complete); raise --node-limit deliberately.
+other error. Robustness decisions are exact: certified bounds, then a
+branch-and-bound cut search, which is refused by default on more than
+--node-limit nodes (the decision problem is coNP-complete); raise it
+deliberately. An answer that needs no search is given at any size.
 """
 
 from __future__ import annotations
@@ -171,18 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
         "simulation, random-graph sweeps, and satisfiability gadget graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    node_limit_help = "refuse a cut search on more nodes (exit 2); answers that need none come at any size"
 
     p = sub.add_parser("robustness", parents=[seeded], help="exact robustness of a graph file")
     p.add_argument("graphfile")
     p.add_argument("--r", type=int, default=None, help="decide r-robustness instead of computing the maximum")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help=node_limit_help)
     p.set_defaults(func=_cmd_robustness)
 
     p = sub.add_parser("cut", parents=[seeded], help="search for a rho-degree cut")
     p.add_argument("graphfile")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--relaxed", action="store_true", help="force X empty (full bipartition)")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help=node_limit_help)
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("gen", parents=[seeded], help="generate a random graph")

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ResourceGuardError
 from .graph import Graph, _node_mask, _spread, iter_bits, set_of
 from .generators import rng_for
-from .robustness import _every_seed_set_spreads, check_subsets_reachable
+from .robustness import check_subsets_reachable
 
 _log = logging.getLogger("netrobust.dynamics")
 
@@ -274,10 +274,9 @@ def cascade_trace(g: Graph, initial: frozenset, r: int):
 def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> bool:
     """Whether threshold-r contagion from every size-m seed set infects all nodes.
 
-    Both methods run one walk over the seed sets (_every_seed_set_spreads).
-    exact: the subset-reachability check (every set with size <= n-m must be
-    r-reachable), which is that walk behind the subset guard. simulate: the
-    walk itself, behind the tighter SIMULATE_NODE_LIMIT guard.
+    Both methods make one subset-reachability check (every set with size
+    <= n-m must be r-reachable), a walk over the seed sets; simulate holds
+    it to the tighter SIMULATE_NODE_LIMIT guard.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -285,13 +284,11 @@ def contagion_from_any_m(g: Graph, m: int, r: int, method: str = "exact") -> boo
         raise ValueError("m must be at least r")
     if m >= g.n:
         raise ValueError("m must be smaller than the node count")
-    if method == "exact":
-        return check_subsets_reachable(g, r, g.n - m)
-    if method == "simulate":
-        if g.n > SIMULATE_NODE_LIMIT:
-            raise ResourceGuardError(
-                f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
-                f"the guard {SIMULATE_NODE_LIMIT}"
-            )
-        return _every_seed_set_spreads(g.adj, m, r)
-    raise ValueError("method must be 'exact' or 'simulate'")
+    if method not in ("exact", "simulate"):
+        raise ValueError("method must be 'exact' or 'simulate'")
+    if method == "simulate" and g.n > SIMULATE_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"simulate method enumerates C(n, m) seed sets; n={g.n} exceeds "
+            f"the guard {SIMULATE_NODE_LIMIT}"
+        )
+    return check_subsets_reachable(g, r, g.n - m)

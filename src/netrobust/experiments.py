@@ -23,8 +23,6 @@ from .generators import (
 )
 from .graph import min_degree
 from .robustness import (
-    DEFAULT_NODE_LIMIT,
-    _guard,
     _subset_guard,
     check_subsets_reachable,
     is_r_robust,
@@ -140,7 +138,7 @@ def _evaluate(prop: str, g, r: int) -> bool:
     if kind == "r_connected":
         return connectivity_at_least(g, r)
     if kind == "r_robust":
-        return is_r_robust(g, r)
+        return is_r_robust(g, r, node_limit=None)  # n is held to spec.exact_limit (_guard_sweep)
     return check_subsets_reachable(g, r, cap)
 
 
@@ -169,12 +167,10 @@ def _guard_sweep(spec: SweepSpec, n: int, exact: bool = False) -> None:
     this for every point before it samples a trial, so no guard fires after
     work is done; the degree prefilter and the monotone skip in run_er_sweep
     may never even evaluate the property that would trip it. exact: the
-    runner computes robustness whatever the properties."""
-    if exact or "r_robust" in spec.properties:
-        if n > spec.exact_limit:
-            raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
-        if exact or spec.r >= 2:  # r-robust with r = 1 is connectivity and runs no cut search
-            _guard(n, DEFAULT_NODE_LIMIT)
+    runner computes robustness whatever the properties. spec.exact_limit is
+    the one limit on exact robustness, so the runners lift the node limit."""
+    if (exact or "r_robust" in spec.properties) and n > spec.exact_limit:
+        raise ValueError(f"exact robustness checks are limited to n <= {spec.exact_limit}")
     for prop in spec.properties:
         kind, cap = _parse_property(prop)
         if kind == "s_property":
@@ -198,9 +194,8 @@ def run_er_sweep(spec: SweepSpec):
       trial, so it is counted there without being evaluated, and a Graph is
       built only while some property is still undecided.
 
-    Size guards (exact_limit, the cut-search node limit for r_robust with
-    r >= 2, the subset-enumeration guard for s_property) are raised before
-    the first trial is sampled.
+    Size guards (exact_limit for r_robust, the subset-enumeration guard for
+    s_property) are raised before the first trial is sampled.
     """
     if spec.family != "erdos_renyi":
         raise ValueError("spec family must be erdos_renyi")
@@ -274,7 +269,7 @@ def run_geometric_sweep(spec: SweepSpec):
         counts = {prop: 0 for prop in spec.properties + extra}
         for trial in range(spec.trials):
             g, pl = gen_geometric(n, radius, side, 1, spec.base_seed.child(trial))
-            if vertex_connectivity(g) == robustness(g):
+            if vertex_connectivity(g) == robustness(g, node_limit=None):
                 counts["connectivity_equals_robustness"] += 1
             if pl.spread() > 3 * radius:
                 counts["spread_exceeds_3rho"] += 1

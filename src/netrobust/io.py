@@ -8,7 +8,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
 from .experiments import SweepRecord, SweepSpec
@@ -233,19 +233,7 @@ def write_cascade_trace(rows, path) -> None:
             writer.writerow(row)
 
 
-_COLUMNS = (
-    "family",
-    "n_or_l",
-    "r",
-    "param",
-    "property",
-    "estimate",
-    "ci_halfwidth",
-    "trials",
-    "seed_lo",
-    "seed_hi",
-    "flags",
-)
+_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def _cell(value) -> str:
@@ -381,16 +369,18 @@ def read_consensus_config(path):
         seed = payload.get("seed")
         if seed is not None:
             seed = RngSeed(_integer(seed, "seed"), _integer(payload.get("stream", 0), "stream"))
+        kwargs = {"f_parameter": _integer(payload["f_parameter"], "f_parameter")}
+        if "filter_mode" in payload:
+            kwargs["filter_mode"] = payload["filter_mode"]
+        if "max_rounds" in payload:
+            kwargs["max_rounds"] = _integer(payload["max_rounds"], "max_rounds")
+        if "convergence_epsilon" in payload:
+            kwargs["convergence_epsilon"] = _real(payload["convergence_epsilon"], "convergence_epsilon")
         config = ConsensusConfig(
-            f_parameter=_integer(payload["f_parameter"], "f_parameter"),
-            filter_mode=payload.get("filter_mode", "strict"),
-            max_rounds=_integer(payload.get("max_rounds", 1000), "max_rounds"),
-            convergence_epsilon=_real(
-                payload.get("convergence_epsilon", 1e-6), "convergence_epsilon"
-            ),
             adversary_set=frozenset(adversaries),
             adversary_strategy=adversaries,
             rng_seed=seed,
+            **kwargs,
         )
     return config, initial
 

@@ -5,7 +5,7 @@ every node of A has at most rho neighbors outside A and likewise for B;
 remaining nodes form an unconstrained set X. A graph is r-robust exactly
 when no (r-1)-degree cut exists, so the cut search below is the decision
 engine for robustness. The problem is coNP-complete, hence the advisory
-node limit on all search entry points.
+node limit, checked as each cut search starts (bounds need no search).
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _core(adj: list, mask: int, rho: int) -> int:
     return core
 
 
-def _search_cut(g: Graph, rho: int, allow_x: bool):
+def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     """Exhaustive branch-and-bound over {A, B, X} labelings.
 
     Static descending-degree order; the first non-X node is forced into A to
@@ -207,8 +207,10 @@ def _search_cut(g: Graph, rho: int, allow_x: bool):
     drops only branches without a cut and keeps the search order, so it
     changes no witness. Depth-first over an explicit stack of pending
     placements, so the depth of the search is not bounded by the
-    interpreter's recursion limit. Returns (a_mask, b_mask, x_mask) or None.
+    interpreter's recursion limit. Returns (a_mask, b_mask, x_mask) or None;
+    a graph above node_limit is refused before any of it runs.
     """
+    _guard(g.n, node_limit)
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -247,8 +249,6 @@ def _search_cut(g: Graph, rho: int, allow_x: bool):
 
 def _guard(n: int, node_limit) -> None:
     """Refuse a cut search on n nodes before any of it runs."""
-    if n < 2:
-        raise ValueError("cut search needs at least 2 nodes")
     if node_limit is not None and n > node_limit:
         raise ResourceGuardError(
             f"cut search on {n} nodes exceeds the node limit {node_limit}; "
@@ -273,12 +273,13 @@ def _trivial_cut(g: Graph, rho: int):
 
 def _find_cut(g: Graph, rho: int, node_limit, allow_x: bool):
     """The body of both finders; X stays empty unless allow_x."""
-    _guard(g.n, node_limit)
+    if g.n < 2:
+        raise ValueError("cut search needs at least 2 nodes")
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     found = _trivial_cut(g, rho)
     if found is None and rho > 0:
-        found = _search_cut(g, rho, allow_x)
+        found = _search_cut(g, rho, allow_x, node_limit)
     if found is None:
         return None
     a, b, x = found
@@ -354,14 +355,13 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
         return True  # connected, and 1-robust iff connected
     if min_degree(g) < r:
         return False  # min-degree singleton plus the rest is an (r-1)-cut
-    _guard(g.n, node_limit)
     lb, ub, _, _ = _bounds(g)
     if r <= lb:
         return True
     if r > ub:
         return False
     # At r = ub the closure has just failed inside _bounds.
-    return (r < ub and _clique_closure(g.adj, r)) or _search_cut(g, r - 1, allow_x=True) is None
+    return (r < ub and _clique_closure(g.adj, r)) or _search_cut(g, r - 1, True, node_limit) is None
 
 
 def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
@@ -377,10 +377,9 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     if not is_connected(g):
         _log.debug("robustness 0: disconnected")
         return 0
-    _guard(g.n, node_limit)
     lb, ub, lb_from, ub_from = _bounds(g)
     rho = lb
-    while rho < ub and _search_cut(g, rho, allow_x=True) is None:
+    while rho < ub and _search_cut(g, rho, True, node_limit) is None:
         rho += 1
     if lb == ub:
         _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", rho, lb_from, ub_from)

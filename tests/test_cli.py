@@ -253,13 +253,13 @@ def test_sweep_ba_with_a_repeated_property(tmp_path, capsys):
 
 
 def test_node_limit_guard_exit_code(tmp_path, capsys):
-    p = tmp_path / "k30.edges"
-    write_graph(complete(30), p)
+    p = tmp_path / "cx30.edges"
+    write_graph(counterexample(30), p)
     assert main(["robustness", str(p)]) == 2
     assert "resource guard" in capsys.readouterr().err
     # an explicit limit lifts the guard; the rho=2 decision stays cheap
     assert main(["robustness", str(p), "--r", "3", "--node-limit", "40"]) == 0
-    assert capsys.readouterr().out == "3-robust: true\n"
+    assert capsys.readouterr().out == "3-robust: false\n"
 
 
 def test_sweep_er_csv_and_gnuplot(tmp_path, capsys):

@@ -263,9 +263,9 @@ def test_er_sweep_guards_fire_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="cap must be between"):
         run_er_sweep(SweepSpec("erdos_renyi", 10, 2, base_seed=1, properties=("s_property:10",), **empty))
     n = DEFAULT_NODE_LIMIT + 1
-    with pytest.raises(ResourceGuardError, match="node limit"):
+    with pytest.raises(ValueError, match=f"n <= {n - 1}"):
         run_er_sweep(
-            SweepSpec("erdos_renyi", n, 2, base_seed=1, properties=("r_robust",), exact_limit=n, **empty)
+            SweepSpec("erdos_renyi", n, 2, base_seed=1, properties=("r_robust",), exact_limit=n - 1, **empty)
         )
 
 
@@ -363,9 +363,9 @@ def test_geometric_sweep_guards_fire_before_sampling(monkeypatch):
     points = dict(offsets=((1.0, 0.2), (4.0, 0.2)), trials=50)
     with pytest.raises(ValueError, match="n <= 22"):
         run_geometric_sweep(SweepSpec("geometric1d", 2.0, 2, base_seed=1, properties=("r_robust",), **points))
-    # robustness is always recorded, so the node limit binds even without r_robust
-    with pytest.raises(ResourceGuardError, match="node limit"):
-        run_geometric_sweep(SweepSpec("geometric1d", 2.0, 1, base_seed=1, properties=(), exact_limit=28, **points))
+    # robustness is always recorded, so exact_limit binds even without r_robust
+    with pytest.raises(ValueError, match="n <= 27"):
+        run_geometric_sweep(SweepSpec("geometric1d", 2.0, 1, base_seed=1, properties=(), exact_limit=27, **points))
     with pytest.raises(ValueError, match="cap must be between"):
         run_geometric_sweep(SweepSpec("geometric1d", 2.0, 2, base_seed=1, properties=("s_property:10",), **points))
 
@@ -377,10 +377,16 @@ def test_ba_trials_guards_fire_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="n <= 22"):
         run_ba_trials(SweepSpec("preferential", 23, 2, 3, 1, properties=("r_robust",)))
     n = DEFAULT_NODE_LIMIT + 1
-    with pytest.raises(ResourceGuardError, match="node limit"):
-        run_ba_trials(SweepSpec("preferential", n, 2, 3, 1, properties=("r_robust",), exact_limit=n))
+    with pytest.raises(ValueError, match=f"n <= {n - 1}"):
+        run_ba_trials(SweepSpec("preferential", n, 2, 3, 1, properties=("r_robust",), exact_limit=n - 1))
     with pytest.raises(ResourceGuardError, match="subset enumeration"):
         run_ba_trials(SweepSpec("preferential", SUBSET_ENUM_LIMIT + 1, 2, 3, 1, properties=("s_property:2",)))
+
+
+def test_ba_trials_exact_limit_is_the_only_limit():
+    # exact_limit alone bounds a sweep; certified bounds decide these graphs
+    spec = SweepSpec("preferential", 200, 3, 20, 1, properties=("r_robust",), exact_limit=200)
+    assert [rec.estimate for rec in run_ba_trials(spec)] == [1.0]
 
 
 # --- persistence ------------------------------------------------------------------

@@ -219,8 +219,9 @@ def test_rho_zero_means_disconnection():
 def test_cut_search_rejects_bad_args():
     with pytest.raises(ValueError, match="rho must be nonnegative"):
         find_degree_cut(path(4), -1)
-    with pytest.raises(ValueError, match="at least 2 nodes"):
-        find_degree_cut(Graph(1), 1)
+    for n in (0, 1):  # _trivial_cut would return a malformed witness, or index past the end
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            find_degree_cut(Graph(n), 1)
 
 
 # Two triangles {0, 1, 2} and {3, 4, 5} joined through node 6. Its minimum
@@ -243,7 +244,7 @@ def _masks(*sides):
     ],
 )
 def test_both_finders_refuse_a_bad_witness(monkeypatch, found):
-    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda g, rho, allow_x: found)
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda *args: found)
     with pytest.raises(AssertionError):
         find_degree_cut(TWO_TRIANGLES, 1)
     with pytest.raises(AssertionError):
@@ -252,7 +253,7 @@ def test_both_finders_refuse_a_bad_witness(monkeypatch, found):
 
 def test_relaxed_finder_refuses_a_witness_with_x(monkeypatch):
     found = _masks({0, 1, 2}, {3, 4, 5}, {6})  # a valid 1-cut once X may be nonempty
-    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda g, rho, allow_x: found)
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", lambda *args: found)
     cut = find_degree_cut(TWO_TRIANGLES, 1)
     assert cut == TriPartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6}))
     with pytest.raises(AssertionError):
@@ -300,10 +301,37 @@ def test_is_r_robust_edges_of_range():
 
 
 def test_node_limit_guard_and_override():
-    big = path(DEFAULT_NODE_LIMIT + 1)
+    big = counterexample(DEFAULT_NODE_LIMIT + 1)  # its bounds leave 1..13 open
     with pytest.raises(ResourceGuardError, match="node limit"):
         robustness(big)
     assert robustness(big, node_limit=big.n) == 1
+
+
+def _refuse_placement(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cut search placed a node")
+
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_place", refuse)
+
+
+def test_graphs_decided_without_search_pass_the_node_limit(monkeypatch):
+    # The limit refuses searches, not graphs: bounds and trivial cuts answer at any size.
+    _refuse_placement(monkeypatch)
+    pa = gen_preferential(200, 3, RngSeed(0, 1))
+    for g, r in ((complete(30), 15), (path(30), 1), (pa, 3)):
+        assert g.n > DEFAULT_NODE_LIMIT
+        assert robustness(g) == r
+        assert is_r_robust(g, r) and not is_r_robust(g, r + 1)
+    assert find_degree_cut(path(30), 1) == TriPartition(frozenset({0}), frozenset(range(1, 30)), frozenset())
+
+
+def test_node_limit_refuses_a_search_before_it_starts(monkeypatch):
+    _refuse_placement(monkeypatch)
+    g = counterexample(DEFAULT_NODE_LIMIT + 1)
+    for decide in (robustness, lambda g: is_r_robust(g, 2), lambda g: find_degree_cut(g, 1),
+                   lambda g: find_relaxed_degree_cut(g, 1)):
+        with pytest.raises(ResourceGuardError, match="node limit"):
+            decide(g)
 
 
 def test_oracle_guard():
