@@ -23,7 +23,9 @@ class _SplitFlow:
     Built once per graph and reused for every terminal pair: max_flow puts
     back the rows it changed before it returns, so each call starts from
     zero flow. calls, seeded and augmented count the max_flow calls, the
-    paths laid by their warm starts and their BFS augmentations.
+    paths laid by their warm starts and their BFS augmentations. reached
+    keeps (s, in-states, out-states) of the last search that fell short of
+    its limit, for separator.
     """
 
     def __init__(self, g: Graph):
@@ -115,6 +117,7 @@ class _SplitFlow:
                 frontier &= ~seen_out
                 seen_out |= frontier
             else:
+                self.reached = (s, seen_in, seen_out)
                 break  # in_t is out of reach: the flow is maximum
             # Walk back from in_t: in_w was reached from some out_u of the
             # previous layer, and out_u from in_u, or from in_succ[u] when
@@ -156,10 +159,24 @@ class _SplitFlow:
             res[v] = adj[v]
         return flow
 
+    def separator(self) -> int:
+        """A minimum s-t separator, as a bitmask, for the last max_flow call
+        that fell short of its limit, read off the states its last search
+        reached. Every arc leaving them is saturated, and there are as many
+        of these arcs as paths (max-flow min-cut). Each is a node arc
+        in_v -> out_v, giving v, or an arc out_s -> in_w, giving w: for
+        u != s with flow to w, out_u is reached only from in_w. Every s-t
+        path leaves the reached states through one of these arcs, at the
+        node it gives."""
+        s, seen_in, seen_out = self.reached
+        return seen_in & ~seen_out | self.adj[s] & ~seen_in
 
-def _kappa_upto_two(g: Graph) -> int:
-    """min(kappa, 2) for n >= 3, from one depth-first lowpoint scan from node
-    0 on the bit rows.
+
+def _articulation(g: Graph) -> tuple[int, int]:
+    """(c, unvisited) from one depth-first lowpoint scan from node 0 on the
+    bit rows, for n >= 3: c is a cut vertex of node 0's component, or -1 if
+    it has none, and unvisited the nodes the scan did not reach (with c = -1,
+    those outside node 0's component).
 
     The next child of v is the lowest bit of adj[v] & unvisited. An
     undirected DFS has no cross edges (a finished node would have reached
@@ -167,10 +184,7 @@ def _kappa_upto_two(g: Graph) -> int:
     its parent p iff the union of its rows meets the path above p. A
     non-root p is a cut vertex iff some child's subtree fails that test; the
     root is one iff it has a second child. Every step is a few bitmask
-    operations; no neighbour is visited one at a time. With no cut vertex,
-    the scan has visited all of node 0's component, so a node left
-    unvisited means kappa = 0; a cut vertex costs one BFS to tell kappa = 0
-    from kappa = 1.
+    operations; no neighbour is visited one at a time.
     """
     adj = g.adj
     unvisited = g.full_mask() ^ 1
@@ -190,15 +204,26 @@ def _kappa_upto_two(g: Graph) -> int:
         v, vbit, up, earlier = stack.pop()
         if not up:  # back at the root: a second child is one the first one's subtree missed
             if adj[0] & unvisited:
-                return int(is_connected(g))
+                return 0, unvisited
             break
         if not reach & up:
-            return int(is_connected(g))
+            return v, unvisited
         reach |= earlier
+    return -1, unvisited
+
+
+def _kappa_upto_two(g: Graph) -> int:
+    """min(kappa, 2) for n >= 3, from the lowpoint scan (_articulation). With
+    no cut vertex the scan has visited all of node 0's component, so a node
+    left unvisited means kappa = 0; a cut vertex costs one BFS to tell
+    kappa = 0 from kappa = 1."""
+    cut, unvisited = _articulation(g)
+    if cut >= 0:
+        return int(is_connected(g))
     return 0 if unvisited else 2
 
 
-def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
+def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tuple[int, str]:
     """The one decision path of both public functions, for k <= min degree
     (k = 0 only on a disconnected graph).
 
@@ -220,7 +245,8 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
     A non-neighbour of s with best linked neighbours is linked too, as such
     a set misses one of them: this contagion spares most of the s-t flows.
     It keeps its counts of linked neighbours from one terminal to the next
-    and recounts them only when a short flow lowers best.
+    and recounts them only when a short flow lowers best. The flows run on
+    net if one is given, so that the caller can read a separator off it.
     """
     if k <= 1:
         return (1, "delta <= 2") if is_connected(g) else (0, "disconnected")
@@ -231,7 +257,7 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
         return 2, "delta <= 2"
     if k == g.n - 1:
         return k, "complete"
-    net = _SplitFlow(g)
+    net = net or _SplitFlow(g)
     adj, s = g.adj, min(range(g.n), key=g.degree)
     best, closed, linked = k, 0, adj[s] | 1 << s
 
@@ -260,6 +286,20 @@ def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, str]:
             if not exact or best == 2:
                 break
     return best, f"flowed pairs={net.calls}, closed={closed}, seeded={net.seeded}, augmented={net.augmented}"
+
+
+def _separator(g: Graph, k: int) -> tuple[int, int]:
+    """(c, sep) for a connected g and 2 <= k <= min degree: c = min(kappa, k)
+    by the exact ladder and, when c < k, sep a bitmask of c nodes whose
+    removal disconnects g (else 0). A flow below k lowers c only when it is
+    the least so far, so the last short flow is the minimum pair's, and its
+    separator is read off the flow's residual graph; c = 1 comes from the
+    lowpoint scan, whose cut vertex is the separator."""
+    net = _SplitFlow(g)
+    c = _ladder(g, k, True, net)[0]
+    if c == k:
+        return c, 0
+    return c, net.separator() if net.calls else 1 << _articulation(g)[0]
 
 
 def vertex_connectivity(g: Graph) -> int:

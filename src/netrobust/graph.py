@@ -100,14 +100,15 @@ def _from_rows(n: int, rows: list) -> Graph:
     return g
 
 
-def _component(g: Graph, v: int) -> int:
-    """Bitmask of the connected component holding v, by one frontier BFS."""
+def _component(g: Graph, v: int, within: int = -1) -> int:
+    """Bitmask of the connected component holding v in the subgraph induced
+    by the nodes of within (all of them by default), by one frontier BFS."""
     visited = frontier = 1 << v
     while frontier:
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= g.adj[u]
-        frontier = nxt & ~visited
+        frontier = nxt & within & ~visited
         visited |= frontier
     return visited
 

@@ -9,6 +9,7 @@ import json
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields
+from typing import get_type_hints
 
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
 from .experiments import SweepRecord, SweepSpec
@@ -244,21 +245,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _uncell(column: str, text: str):
-    if column in ("r", "trials", "seed_lo", "seed_hi"):
-        return int(text)
-    if column in ("estimate", "ci_halfwidth"):
-        return float(text)
-    if column in ("n_or_l", "param"):
+def _number_or_text(text: str):
+    for parse in (int, float):
         try:
-            return int(text)
+            return parse(text)
         except ValueError:
             pass
-        try:
-            return float(text)
-        except ValueError:
-            return text
     return text
+
+
+# The parser of each column, from its SweepRecord field type; the object
+# fields (n_or_l, param) hold a number or a name.
+_PARSERS = {
+    name: {int: int, float: float, str: str, object: _number_or_text}[kind]
+    for name, kind in get_type_hints(SweepRecord).items()
+}
 
 
 def write_records(records, path, format: str = "csv") -> None:
@@ -289,7 +290,7 @@ def read_records(path, format: str = "csv"):
         with _reading(path, "record", newline="") as fh:
             if format == "csv":
                 return [
-                    SweepRecord(**{c: _uncell(c, row[c]) for c in _COLUMNS})
+                    SweepRecord(**{c: _PARSERS[c](row[c]) for c in _COLUMNS})
                     for row in csv.DictReader(fh)
                 ]
             return [SweepRecord(**d) for d in _json_object(fh.read(), "records file")["records"]]

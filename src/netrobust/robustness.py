@@ -13,8 +13,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .connectivity import _articulation, _separator
 from .errors import ResourceGuardError
-from .graph import Graph, _component, _node_mask, _spread, is_connected, iter_bits, min_degree, set_of
+from .graph import _LEVELS_UPTO, Graph, _component, _node_mask, _spread, is_connected, iter_bits, min_degree, set_of
 
 # Advisory guard for the exponential cut search; callers may raise or lift it.
 DEFAULT_NODE_LIMIT = 25
@@ -25,6 +26,9 @@ ORACLE_NODE_LIMIT = 12
 # Guard for subset reachability, whose walk visits up to C(n + 1, n - cap)
 # seed-set prefixes: those of every (n - cap)-node seed set, empty one included.
 SUBSET_ENUM_LIMIT = 26
+
+# Most entries the per-search memo of _core results holds before it is cleared.
+_CORE_MEMO_SIZE = 4096
 
 _A, _B, _X = 0, 1, 2
 
@@ -205,8 +209,9 @@ def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     one that avoids a | x, so once A is started a branch is dropped unless
     the core of the complement of a | x is nonempty and holds b. That prune
     drops only branches without a cut and keeps the search order, so it
-    changes no witness. Depth-first over an explicit stack of pending
-    placements, so the depth of the search is not bounded by the
+    changes no witness. Its cores are memoised by a | x for the one search,
+    in at most _CORE_MEMO_SIZE entries. Depth-first over an explicit stack
+    of pending placements, so the depth of the search is not bounded by the
     interpreter's recursion limit. Returns (a_mask, b_mask, x_mask) or None;
     a graph above node_limit is refused before any of it runs.
     """
@@ -225,6 +230,7 @@ def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     # Pending placements, pushed in reverse so that A is tried before B
     # before X, the order the returned witness depends on.
     stack = [(0, 0, 0, 0, side) for side in first]
+    cores: dict = {}  # a | x -> the core of its complement
     while stack:
         a, b, x, idx, side = stack.pop()
         placed = _place(rules, rho, a, b, x, 1 << order[idx], side)
@@ -239,7 +245,12 @@ def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
                 return a, b, x
             continue
         if a:
-            room = _core(adj, full & ~(a | x), rho)
+            key = a | x
+            room = cores.get(key)
+            if room is None:
+                if len(cores) == _CORE_MEMO_SIZE:
+                    cores.clear()
+                room = cores[key] = _core(adj, full & ~key, rho)
             if not room or b & ~room:
                 continue
         for side in rest if a else first:
@@ -283,12 +294,40 @@ def _find_cut(g: Graph, rho: int, node_limit, allow_x: bool):
     if found is None:
         return None
     a, b, x = found
-    # Independent check of every witness the search hands back.
-    if not (a and b) or a & b or (x and not allow_x):
+    if x and not allow_x:
         raise AssertionError("malformed cut witness")
-    if max(_reach(g.adj, a), _reach(g.adj, b)) > rho:
-        raise AssertionError("cut witness fails outside-neighbor recount")
+    _recount(g.adj, found, rho)
     return TriPartition(set_of(a), set_of(b), set_of(x))
+
+
+def _recount(adj: list, found: tuple, rho: int) -> int:
+    """The independent check of every cut witness (a, b, x) the search hands
+    back: a and b nonempty and disjoint, and neither with a node of more than
+    rho outside neighbours. Returns the larger reach of the two sides, the
+    least rho for which the witness is a cut."""
+    a, b, _ = found
+    if not (a and b) or a & b:
+        raise AssertionError("malformed cut witness")
+    reach = max(_reach(adj, a), _reach(adj, b))
+    if reach > rho:
+        raise AssertionError("cut witness fails outside-neighbor recount")
+    return reach
+
+
+def _separator_cut(g: Graph, sep: int, kappa: int) -> tuple:
+    """The kappa-cut (A, B, S) of a vertex separator S: A is the component of
+    G - S holding its lowest node, B the rest of G - S. Raises AssertionError
+    unless |S| = kappa, G - S is disconnected and (A, B, S) passes the
+    recount at rho = kappa."""
+    rest = g.full_mask() & ~sep
+    if sep.bit_count() != kappa or not rest:
+        raise AssertionError(f"separator of {sep.bit_count()} nodes, not kappa = {kappa}")
+    a = _component(g, (rest & -rest).bit_length() - 1, rest)
+    if a == rest:
+        raise AssertionError("separator leaves the graph connected")
+    found = (a, rest & ~a, sep)
+    _recount(g.adj, found, kappa)
+    return found
 
 
 def find_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
@@ -361,16 +400,21 @@ def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
     if r > ub:
         return False
     # At r = ub the closure has just failed inside _bounds.
-    return (r < ub and _clique_closure(g.adj, r)) or _search_cut(g, r - 1, True, node_limit) is None
+    if r < ub and _clique_closure(g.adj, r):
+        return True
+    kappa, sep = _separator(g, r)
+    if kappa < r:
+        _separator_cut(g, sep, kappa)  # a kappa-cut, so an (r-1)-cut
+        return False
+    return _search_cut(g, r - 1, True, node_limit) is None
 
 
 def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
     """Largest r with is_r_robust(g, r): the smallest rho admitting a cut.
 
-    Certified bounds (_bounds) first; then an ascending search over the
-    rho in [lb, ub) only, ub being the answer when none of them has a cut.
-    Each call logs how it was decided at DEBUG level on
-    "netrobust.robustness".
+    Certified bounds (_bounds) first; when they leave lb < ub, _decide
+    settles the answer from above (see there). Each call logs how it was
+    decided at DEBUG level on "netrobust.robustness".
     """
     if g.n < 2:
         raise ValueError("robustness needs at least 2 nodes")
@@ -378,17 +422,55 @@ def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
         _log.debug("robustness 0: disconnected")
         return 0
     lb, ub, lb_from, ub_from = _bounds(g)
-    rho = lb
-    while rho < ub and _search_cut(g, rho, True, node_limit) is None:
-        rho += 1
     if lb == ub:
-        _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", rho, lb_from, ub_from)
-    else:
-        _log.debug(
-            "robustness %d: searched rho=%d..%d of [lb=%d from %s, ub=%d from %s)",
-            rho, lb, min(rho, ub - 1), lb, lb_from, ub, ub_from,
-        )
-    return rho
+        _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", lb, lb_from, ub_from)
+        return lb
+    rob, how = _decide(g, lb, ub, node_limit)
+    _log.debug("robustness %d: %s of [lb=%d from %s, ub=%d from %s)", rob, how, lb, lb_from, ub, ub_from)
+    return rob
+
+
+def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
+    """(robustness, how) for a connected g with lb <= robustness(g) <= ub
+    certified; how names what decided it. A rho-cut is also a (rho + 1)-cut,
+    so one proof that no cut exists just below a ceiling settles every lower
+    rho. In order: a cut vertex (lb = 1) decides 1; a cut at rho = lb
+    decides lb; a kappa below ub becomes ub, a minimum separator S giving
+    the kappa-cut (a component of G - S, the rest, S), and the closure is
+    tried once there; then rho = ub - 1 down, where no cut decides rho + 1
+    and a cut's recounted reach r' makes r' - 1 the next rung. Every
+    ceiling and every jump is recounted before it is used.
+    """
+    adj = g.adj
+    if lb == 1:
+        cut = _articulation(g)[0]
+        if cut >= 0:
+            _separator_cut(g, 1 << cut, 1)
+            return 1, f"cut vertex {cut}"
+    rungs = []
+
+    def reach_of_cut(rho: int):
+        rungs.append(rho)
+        found = _search_cut(g, rho, True, node_limit)
+        return None if found is None else _recount(adj, found, rho)
+
+    if reach_of_cut(lb) is not None:
+        return lb, f"searched rho={rungs}"
+    ceiling = ""
+    if lb + 1 < ub:
+        kappa, sep = _separator(g, ub)
+        if kappa < ub:
+            _separator_cut(g, sep, kappa)
+            ub, ceiling = kappa, f", kappa={kappa}"
+            if lb + 1 < ub and _clique_closure(adj, ub):
+                return ub, f"searched rho={rungs}{ceiling}, closure"
+    rho = ub - 1
+    while rho > lb:
+        reach = reach_of_cut(rho)
+        if reach is None:
+            break
+        rho = reach - 1
+    return rho + 1, f"searched rho={rungs}{ceiling}"
 
 
 def _subset_guard(n: int, cap: int) -> None:
@@ -428,8 +510,9 @@ def _every_seed_set_spreads(adj: list, m: int, r: int) -> bool:
     seed prefixes in combination order: cl(T + u) = cl(cl(T) + u), and once a
     prefix infects all, so does every seed set that extends it."""
     n, full = len(adj), (1 << len(adj)) - 1
+    counted = r <= _LEVELS_UPTO  # above it _spread does not read levels
 
-    def walk(start: int, left: int, closure: int, levels: list) -> bool:
+    def walk(start: int, left: int, closure: int, levels) -> bool:
         # Whether every left more seeds from start on complete the closure;
         # levels count the closure's infected neighbours (see _spread).
         if closure == full or not left:
@@ -439,13 +522,13 @@ def _every_seed_set_spreads(adj: list, m: int, r: int) -> bool:
             if closure & bit:
                 grown, counts = closure, levels
             else:
-                counts = levels[:]
+                counts = levels[:] if counted else None
                 grown = closure + bit + sum(_spread(adj, closure + bit, r, bit, counts))
             if not walk(v + 1, left - 1, grown, counts):
                 return False
         return True
 
-    return walk(0, m, 0, [0] * r)
+    return walk(0, m, 0, [0] * r if counted else None)
 
 
 def _naive_robustness(g: Graph) -> int:

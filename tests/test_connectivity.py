@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netrobust import connectivity
-from netrobust.connectivity import _kappa_upto_two, _SplitFlow, connectivity_at_least, vertex_connectivity
+from netrobust.connectivity import (
+    _articulation,
+    _kappa_upto_two,
+    _separator,
+    _SplitFlow,
+    connectivity_at_least,
+    vertex_connectivity,
+)
 from netrobust.generators import gen_erdos_renyi
 from netrobust.graph import (
     Graph,
@@ -434,6 +441,65 @@ def test_min_degree_three_with_a_two_node_cut_needs_the_flow():
         assert vertex_connectivity(g) == 2, g.edges()
         assert connectivity_at_least(g, 2)
         assert not connectivity_at_least(g, 3)
+
+
+def cut_off(g: Graph, sep: int, u: int) -> int:
+    """The nodes that u still reaches once the nodes of sep are removed."""
+    seen = frontier = 1 << u
+    while frontier:
+        nxt = 0
+        for w in iter_bits(frontier):
+            nxt |= g.adj[w]
+        frontier = nxt & ~sep & ~seen
+        seen |= frontier
+    return seen
+
+
+def test_flow_separator_has_one_node_per_path_and_separates():
+    rng = random.Random(21)
+    pairs = 0
+    for _ in range(60):
+        g = glued(rng, rng.randint(4, 9), rng.randint(4, 9), rng.randint(1, 4), rng.choice((0.4, 0.7, 0.9)))
+        net = _SplitFlow(g)
+        for u in range(g.n):
+            for v in iter_bits(g.full_mask() & ~g.adj[u] >> u + 1 << u + 1):
+                flow = net.max_flow(u, v, g.n)  # always short of n: the last search fails
+                sep = net.separator()
+                assert sep.bit_count() == flow and not sep & (1 << u | 1 << v), (g.edges(), u, v)
+                assert not cut_off(g, sep, u) >> v & 1, (g.edges(), u, v)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_separator_is_a_minimum_vertex_cut():
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(150):
+        g = glued(rng, rng.randint(4, 9), rng.randint(4, 9), rng.randint(1, 4), rng.choice((0.5, 0.8, 0.95)))
+        if not is_connected(g) or min_degree(g) < 2:
+            continue
+        kappa = brute_connectivity(g)
+        for k in range(2, min_degree(g) + 1):
+            c, sep = _separator(g, k)
+            assert c == min(kappa, k), (g.edges(), k)
+            if c == k:
+                assert sep == 0
+                continue
+            seen.add(c)
+            assert sep.bit_count() == c, (g.edges(), k)
+            rest = g.full_mask() & ~sep
+            assert cut_off(g, sep, (rest & -rest).bit_length() - 1) != rest, (g.edges(), k)
+    assert seen >= {1, 2, 3}
+
+
+def test_articulation_names_a_cut_vertex():
+    for g in (cliques_sharing_a_node(5), cliques_joined_by_a_bridge(4), path(6)):
+        cut, unvisited = _articulation(g)
+        assert unvisited == 0 and has_cut_vertex(g)
+        rest = g.full_mask() & ~(1 << cut)
+        assert cut_off(g, 1 << cut, (rest & -rest).bit_length() - 1) != rest
+    assert _articulation(cycle(7)) == (-1, 0)
+    assert _articulation(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])) == (-1, 0b11000)
 
 
 def test_threshold_decision_matches_connectivity_on_seeded_graphs():

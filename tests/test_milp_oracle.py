@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from netrobust.generators import RngSeed, gen_erdos_renyi, gen_preferential
+from netrobust.connectivity import vertex_connectivity
+from netrobust.generators import RngSeed, gen_erdos_renyi, gen_geometric, gen_preferential
 from netrobust.graph import Graph, counterexample, is_connected, min_degree
 from netrobust.robustness import is_r_robust, robustness
 
@@ -95,3 +96,15 @@ def test_dense_decisions_match_the_milp_oracle():
         assert milp_has_cut(g, r), context
         assert not milp_has_cut(g, r - 1), context
         assert is_r_robust(g, r) and not is_r_robust(g, r + 1), context
+
+
+def test_geometric_connectivity_ceilings_match_the_milp_oracle():
+    # 1-D geometric graphs of 40 and 80 nodes whose connectivity lies below
+    # their minimum degree: robustness is decided at the kappa ceiling.
+    for n, stream in ((40, 3), (80, 3)):
+        g = gen_geometric(n, 2.5 * math.log(n) / n, 1.0, 1, RngSeed(stream, 1))[0]
+        r = robustness(g, node_limit=None)
+        context = (g.n, list(g.edges()), r)
+        assert r == vertex_connectivity(g) < min_degree(g), context
+        assert milp_has_cut(g, r), context
+        assert not milp_has_cut(g, r - 1), context

@@ -9,6 +9,7 @@ import itertools
 import logging
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 from netrobust.connectivity import vertex_connectivity
 from netrobust.dynamics import contagion_from_any_m
 from netrobust.errors import ResourceGuardError
-from netrobust.generators import RngSeed, gen_preferential
+from netrobust.experiments import threshold_p
+from netrobust.generators import RngSeed, gen_erdos_renyi, gen_geometric, gen_preferential
 from netrobust.graph import Graph, complete, counterexample, cycle, is_connected, iter_bits, mask_of, min_degree, path
 from netrobust.hardness import verify_cut
 from netrobust.robustness import (
@@ -27,6 +29,7 @@ from netrobust.robustness import (
     _clique_closure,
     _core,
     _naive_robustness,
+    _separator_cut,
     _strong_pairs,
     _tie_classes,
     check_subsets_reachable,
@@ -460,6 +463,27 @@ def test_core_prune_changes_no_witness(monkeypatch):
     assert sum(1 for cut, _ in plain if cut is not None) > 500  # both outcomes are well covered
 
 
+def test_core_memo_saves_work_and_its_bound_changes_no_witness(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    rng = random.Random(0x3E30)
+    corpus = [random_graph(rng, rng.randint(8, 16), rng.choice((0.4, 0.6, 0.8))) for _ in range(120)]
+    core, calls = module._core, []
+
+    def counted(adj, mask, rho):
+        calls.append(mask)
+        return core(adj, mask, rho)
+
+    def witnesses():
+        calls.clear()
+        return [(find_degree_cut(g, rho), find_relaxed_degree_cut(g, rho)) for g in corpus for rho in range(1, 4)]
+
+    monkeypatch.setattr(module, "_core", counted)
+    memoised, computed = witnesses(), len(calls)
+    monkeypatch.setattr(module, "_CORE_MEMO_SIZE", 2)  # cleared at every third new mask
+    assert witnesses() == memoised
+    assert computed < len(calls)
+
+
 def test_core_prune_cuts_the_refutation_work(monkeypatch):
     module = importlib.import_module("netrobust.robustness")
     place = module._place
@@ -498,7 +522,7 @@ def test_decision_is_logged(caplog):
     messages = [rec.getMessage() for rec in caplog.records]
     assert messages == [
         "robustness 4: lb=ub (lb from delta, ub from ceil(n/2)), no search",
-        "robustness 1: searched rho=1..1 of [lb=1 from connectivity, ub=4 from delta)",
+        "robustness 1: searched rho=[1] of [lb=1 from connectivity, ub=4 from delta)",
         "robustness 0: disconnected",
     ]
 
@@ -534,13 +558,15 @@ def test_bipartite_bounds_leave_the_search_to_decide(caplog, monkeypatch):
     closures = count_closures(monkeypatch)
     # K_{a,a} has no clique of 2a - 1 nodes to certify ub = a, and
     # delta + 1 - floor(n/2) = 1, so the search starts from connectivity.
+    # kappa = a = ub is no lower ceiling, so no second closure runs; the
+    # descent from ub - 1 finds a cut at each rung down to the answer.
     for a in (3, 4):
         before = len(closures)
         assert robustness(Graph(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])) == 2
         assert len(closures) - before <= 1
     assert [rec.getMessage() for rec in caplog.records] == [
-        "robustness 2: searched rho=1..2 of [lb=1 from connectivity, ub=3 from delta)",
-        "robustness 2: searched rho=1..2 of [lb=1 from connectivity, ub=4 from delta)",
+        "robustness 2: searched rho=[1, 2] of [lb=1 from connectivity, ub=3 from delta)",
+        "robustness 2: searched rho=[1, 3, 2] of [lb=1 from connectivity, ub=4 from delta)",
     ]
 
 
@@ -609,6 +635,109 @@ def test_closure_certificate_changes_no_answer(monkeypatch):
     monkeypatch.setattr(module, "_clique_closure", lambda adj, r: False)
     assert certified == answers()
     assert sum(fired) > 1000, (sum(fired), len(fired))  # 1,176 certificates
+
+
+# --- decision from the top: connectivity ceilings and the descent -----------
+
+
+def geometric(n: int, stream: int, scale: float = 2.5) -> Graph:
+    """A 1-D geometric graph of radius scale * ln(n) / n on the unit line."""
+    return gen_geometric(n, scale * math.log(n) / n, 1.0, 1, RngSeed(stream, 1))[0]
+
+
+def test_separator_recount_refuses_a_broken_separator():
+    line = path(5)
+    assert _separator_cut(line, 0b00100, 1) == (0b00011, 0b11000, 0b00100)
+    ring = cycle(6)
+    assert _separator_cut(ring, 0b001001, 2) == (0b000110, 0b110000, 0b001001)
+    broken = [
+        (line, 0b00001, 1, "connected"),  # an end of the path: the rest stays connected
+        (ring, 0b000011, 2, "connected"),  # two adjacent nodes leave a path
+        (line, 0b00100, 2, "kappa"),  # one node, claimed as two
+        (ring, 0b010101, 2, "kappa"),  # three nodes, claimed as two
+        (line, 0b11111, 5, "kappa"),  # nothing is left to split
+    ]
+    for g, sep, kappa, match in broken:
+        with pytest.raises(AssertionError, match=match):
+            _separator_cut(g, sep, kappa)
+
+
+def test_robustness_refuses_a_broken_ceiling(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    g = geometric(80, 3)  # kappa = 4 below its bounds [1, 13)
+    monkeypatch.setattr(module, "_separator", lambda g, k: (4, 0b1111))  # four nodes at the end of the line
+    with pytest.raises(AssertionError, match="connected"):
+        robustness(g, node_limit=None)
+    monkeypatch.setattr(module, "_separator", lambda g, k: (3, 0b1111))
+    with pytest.raises(AssertionError, match="kappa"):
+        is_r_robust(g, 5)  # the closure certifies 4 but not 5
+
+
+def test_descent_jumps_by_the_recounted_reach(monkeypatch, caplog):
+    # K_{4,4} has robustness 2, kappa = ub = 4. A cut of reach 2 found at
+    # rho = 3 sends the descent straight to rho = 1, which the lb rung has
+    # already settled, so rho = 2 is never searched.
+    module = importlib.import_module("netrobust.robustness")
+    search = module._search_cut
+    k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    reach_two = _masks({0, 1, 4, 5}, {2, 3, 6, 7}, set())
+
+    def jump(g, rho, allow_x, node_limit):
+        return reach_two if rho == 3 else search(g, rho, allow_x, node_limit)
+
+    monkeypatch.setattr(module, "_search_cut", jump)
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    assert robustness(k44) == 2
+    assert caplog.records[-1].getMessage() == "robustness 2: searched rho=[1, 3] of [lb=1 from connectivity, ub=4 from delta)"
+    monkeypatch.setattr(module, "_search_cut", lambda *args: _masks({0, 1}, {2, 3, 6, 7}, set()))
+    with pytest.raises(AssertionError, match="recount"):
+        robustness(k44)  # node 0 has 3 > 1 outside neighbours: the lb rung's cut fails
+
+
+def test_top_down_decision_matches_plain_ascending_search(caplog):
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    corpus = [counterexample(n) for n in range(14, 25, 2)]
+    for n in range(16, 25):
+        for stream in range(2):
+            corpus += [geometric(n, stream, 1.2), geometric(n, stream, 1.6)]
+            corpus.append(gen_erdos_renyi(n, threshold_p(n, 3), RngSeed(stream, 3)))
+    deciders = set()
+    for g in corpus:
+        if is_connected(g):
+            assert robustness(g) == reference_robustness(g), (g.n, list(g.edges()))
+            deciders.add(caplog.records[-1].getMessage().split(": ")[1].split(" ")[0])
+    assert deciders >= {"cut", "searched", "lb=ub"}
+    assert any("kappa" in rec.getMessage() for rec in caplog.records)
+    assert any(", closure of" in rec.getMessage() for rec in caplog.records)
+
+
+def test_connectivity_ceilings_decide_without_search(monkeypatch):
+    # Both graphs are too large for the default node limit, so any search
+    # would be refused; the cut vertex and the separator decide instead.
+    def refuse(*args):
+        raise AssertionError("cut search ran")
+
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", refuse)
+    k20, k21 = complete(20), complete(21)
+    shared_node = Graph(40, list(k20.edges()) + [(u + 19, v + 19) for u, v in k21.edges()])
+    assert shared_node.n > DEFAULT_NODE_LIMIT and vertex_connectivity(shared_node) == 1
+    assert robustness(shared_node) == 1
+    assert is_r_robust(shared_node, 1) and not is_r_robust(shared_node, 2)
+    shared_three = Graph(37, sorted(set(k20.edges()) | {(u + 17, v + 17) for u, v in k20.edges()}))
+    assert vertex_connectivity(shared_three) == 3 and _bounds(shared_three)[:2] == (2, 19)
+    assert not is_r_robust(shared_three, 4)
+
+
+def test_geometric_graphs_decide_at_their_connectivity_in_time():
+    # 1-D geometric graphs whose connectivity lies far below their minimum
+    # degree; the ascending search took minutes on each.
+    for n, stream in ((80, 3), (160, 1)):
+        g = geometric(n, stream)
+        kappa = vertex_connectivity(g)
+        assert kappa < min_degree(g) - 5
+        start = time.perf_counter()
+        assert robustness(g, node_limit=None) == kappa
+        assert time.perf_counter() - start < 0.5, n
 
 
 # --- subset reachability ----------------------------------------------------
