@@ -215,7 +215,11 @@ def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     interpreter's recursion limit. Returns (a_mask, b_mask, x_mask) or None;
     a graph above node_limit is refused before any of it runs.
     """
-    _guard(g.n, node_limit)
+    if _refused(g.n, node_limit):
+        raise ResourceGuardError(
+            f"cut search on {g.n} nodes exceeds the node limit {node_limit}; "
+            "pass a higher node_limit to override (search is exponential)"
+        )
     n = g.n
     adj = g.adj
     full = g.full_mask()
@@ -258,13 +262,10 @@ def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     return None
 
 
-def _guard(n: int, node_limit) -> None:
-    """Refuse a cut search on n nodes before any of it runs."""
-    if node_limit is not None and n > node_limit:
-        raise ResourceGuardError(
-            f"cut search on {n} nodes exceeds the node limit {node_limit}; "
-            "pass a higher node_limit to override (search is exponential)"
-        )
+def _refused(n: int, node_limit) -> bool:
+    """Whether the node limit refuses a cut search on n nodes: _search_cut
+    raises before any of it runs, and _decide skips its lb rung."""
+    return node_limit is not None and n > node_limit
 
 
 def _trivial_cut(g: Graph, rho: int):
@@ -340,26 +341,24 @@ def find_relaxed_degree_cut(g: Graph, rho: int, node_limit=DEFAULT_NODE_LIMIT):
     return _find_cut(g, rho, node_limit, allow_x=False)
 
 
-def _bounds(g: Graph) -> tuple:
-    """Certified (lb, ub, lb_from, ub_from) with lb <= robustness(g) <= ub, for
-    connected g; lb_from and ub_from name the bound that set each, for the
-    decision log.
+def _bounds(g: Graph, cap: int) -> tuple:
+    """Certified (lb, ub, lb_from, ub_from) with lb <= min(robustness(g), cap)
+    <= ub, for connected g and cap >= 1; lb_from and ub_from name the bound
+    that set each, for the decision log.
 
-    ub = min(delta, ceil(n/2)): a min-degree singleton against the rest, or a
-    balanced bipartition, is always a cut. lb is the larger of 1 (connected)
-    and delta + 1 - floor(n/2) (the smaller side S of a cut has |S| <= n/2,
-    so each of its nodes keeps delta - |S| + 1 outside neighbors), raised to
-    ub if a clique's closure certifies ub (_clique_closure).
+    ub = min(delta, ceil(n/2), cap), a tie going to the bound named first: a
+    min-degree singleton against the rest, or a balanced bipartition, is
+    always a cut. lb is the larger of 1 (connected) and delta + 1 - floor(n/2)
+    (the smaller side S of a cut has |S| <= n/2, so each of its nodes keeps
+    delta - |S| + 1 outside neighbors), at most ub.
     """
     n = g.n
     delta = min_degree(g)
     half = n // 2
-    ub, ub_from = (delta, "delta") if delta <= n - half else (n - half, "ceil(n/2)")
+    ub, ub_from = min((delta, "delta"), (n - half, "ceil(n/2)"), (cap, "cap"), key=lambda bound: bound[0])
     lb = max(1, delta + 1 - half)
     lb_from = "delta" if lb > 1 else "connectivity"
-    if lb < ub and _clique_closure(g.adj, ub):
-        lb, lb_from = ub, "closure"
-    return lb, ub, lb_from, ub_from
+    return min(lb, ub), ub, lb_from, ub_from
 
 
 def _clique_closure(adj: list, r: int) -> bool:
@@ -381,66 +380,60 @@ def _clique_closure(adj: list, r: int) -> bool:
 
 
 def is_r_robust(g: Graph, r: int, node_limit=DEFAULT_NODE_LIMIT) -> bool:
-    """True iff no (r-1)-degree cut exists; r = 0 is trivially true."""
+    """True iff no (r-1)-degree cut exists: robustness clamped to [r - 1, r]
+    is r. r = 0 is trivially true."""
     if g.n < 2:
         raise ValueError("robustness needs at least 2 nodes")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return True
-    if not is_connected(g):
-        return False
-    if r == 1:
-        return True  # connected, and 1-robust iff connected
-    if min_degree(g) < r:
-        return False  # min-degree singleton plus the rest is an (r-1)-cut
-    lb, ub, _, _ = _bounds(g)
-    if r <= lb:
-        return True
-    if r > ub:
-        return False
-    # At r = ub the closure has just failed inside _bounds.
-    if r < ub and _clique_closure(g.adj, r):
-        return True
-    kappa, sep = _separator(g, r)
-    if kappa < r:
-        _separator_cut(g, sep, kappa)  # a kappa-cut, so an (r-1)-cut
-        return False
-    return _search_cut(g, r - 1, True, node_limit) is None
+    return r == 0 or _clamped(g, r - 1, r, node_limit) == r
 
 
 def robustness(g: Graph, node_limit=DEFAULT_NODE_LIMIT) -> int:
-    """Largest r with is_r_robust(g, r): the smallest rho admitting a cut.
-
-    Certified bounds (_bounds) first; when they leave lb < ub, _decide
-    settles the answer from above (see there). Each call logs how it was
-    decided at DEBUG level on "netrobust.robustness".
-    """
+    """Largest r with is_r_robust(g, r): the smallest rho admitting a cut,
+    decided by the ladder of _clamped with floor 0 and cap n."""
     if g.n < 2:
         raise ValueError("robustness needs at least 2 nodes")
+    return _clamped(g, 0, g.n, node_limit)
+
+
+def _clamped(g: Graph, floor: int, cap: int, node_limit) -> int:
+    """robustness(g) clamped to [floor, cap], for 0 <= floor < cap. Floor if
+    g is disconnected; else the certified bounds at most cap (_bounds), the
+    closure tried once at ub, floor once ub <= floor, and _decide when they
+    leave lb < ub. Each call logs how it was decided at DEBUG level on
+    "netrobust.robustness", a result at the clamp as ">= cap" or
+    "< floor + 1", never as a robustness it did not decide."""
     if not is_connected(g):
-        _log.debug("robustness 0: disconnected")
-        return 0
-    lb, ub, lb_from, ub_from = _bounds(g)
-    if lb == ub:
-        _log.debug("robustness %d: lb=ub (lb from %s, ub from %s), no search", lb, lb_from, ub_from)
-        return lb
-    rob, how = _decide(g, lb, ub, node_limit)
-    _log.debug("robustness %d: %s of [lb=%d from %s, ub=%d from %s)", rob, how, lb, lb_from, ub, ub_from)
+        rob, how = floor, "disconnected"
+    else:
+        lb, ub, lb_from, ub_from = _bounds(g, cap)
+        if floor < ub and lb < ub and _clique_closure(g.adj, ub):
+            lb, lb_from = ub, "closure"
+        if ub <= floor:
+            rob, how = floor, f"ub={ub} from {ub_from}, no search"
+        elif lb == ub:
+            rob, how = lb, f"lb=ub (lb from {lb_from}, ub from {ub_from}), no search"
+        else:
+            rob, how = _decide(g, max(lb, floor), ub, node_limit)
+            how += f" of [lb={lb} from {lb_from}, ub={ub} from {ub_from})"
+    said = f">= {cap}" if rob == cap else f"< {rob + 1}" if rob == floor > 0 else rob
+    _log.debug("robustness %s: %s", said, how)
     return rob
 
 
 def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
-    """(robustness, how) for a connected g with lb <= robustness(g) <= ub
-    certified; how names what decided it. A rho-cut is also a (rho + 1)-cut,
-    so one proof that no cut exists just below a ceiling settles every lower
-    rho. In order: a cut vertex (lb = 1) decides 1; a cut at rho = lb
-    decides lb; a kappa below ub becomes ub, a minimum separator S giving
-    the kappa-cut (a component of G - S, the rest, S), and the closure is
-    tried once there; then rho = ub - 1 down, where no cut decides rho + 1
-    and a cut's recounted reach r' makes r' - 1 the next rung. Every
-    ceiling and every jump is recounted before it is used.
-    """
+    """(robustness clamped to [lb, ub], how) for a connected g, lb < ub, with
+    ub certified and lb certified or a floor; how names what decided it. A
+    rho-cut is also a (rho + 1)-cut, so one proof that no cut exists just
+    below a ceiling settles every lower rho. In order: a cut vertex (lb = 1)
+    decides 1; if lb + 1 < ub and the node limit allows a search, a cut at
+    rho = lb decides lb and none certifies lb + 1; a kappa below ub, whose
+    minimum separator S gives the kappa-cut (a component of G - S, the rest,
+    S), ends at lb if kappa <= lb, else becomes ub with the closure tried
+    once there; then rho = ub - 1 down to lb, where no cut decides rho + 1
+    and a cut's recounted reach r' makes r' - 1 the next rung. Every ceiling
+    and every jump is recounted before it is used."""
     adj = g.adj
     if lb == 1:
         cut = _articulation(g)[0]
@@ -454,23 +447,27 @@ def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
         found = _search_cut(g, rho, True, node_limit)
         return None if found is None else _recount(adj, found, rho)
 
-    if reach_of_cut(lb) is not None:
-        return lb, f"searched rho={rungs}"
-    ceiling = ""
-    if lb + 1 < ub:
-        kappa, sep = _separator(g, ub)
-        if kappa < ub:
-            _separator_cut(g, sep, kappa)
-            ub, ceiling = kappa, f", kappa={kappa}"
-            if lb + 1 < ub and _clique_closure(adj, ub):
-                return ub, f"searched rho={rungs}{ceiling}, closure"
+    def how(*notes) -> str:
+        return ", ".join([f"searched rho={rungs}"] * bool(rungs) + list(notes))
+
+    if lb + 1 < ub and not _refused(g.n, node_limit):
+        if reach_of_cut(lb) is not None:
+            return lb, how()
+        lb += 1
+    ceiling = ()
+    kappa, sep = _separator(g, ub)
+    if kappa < ub:
+        _separator_cut(g, sep, kappa)
+        ub, ceiling = max(kappa, lb), (f"kappa={kappa}",)
+        if lb < ub and _clique_closure(adj, ub):
+            return ub, how(*ceiling, "closure")
     rho = ub - 1
-    while rho > lb:
+    while rho >= lb:
         reach = reach_of_cut(rho)
         if reach is None:
             break
         rho = reach - 1
-    return rho + 1, f"searched rho={rungs}{ceiling}"
+    return max(rho + 1, lb), how(*ceiling)
 
 
 def _subset_guard(n: int, cap: int) -> None:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import locale
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
-from netrobust.generators import ER_NODE_LIMIT, GEOM_NODE_LIMIT, PA_NODE_LIMIT
+from netrobust.generators import ER_NODE_LIMIT, GEOM_NODE_LIMIT, PA_NODE_LIMIT, RngSeed, gen_geometric
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
@@ -260,6 +261,15 @@ def test_node_limit_guard_exit_code(tmp_path, capsys):
     # an explicit limit lifts the guard; the rho=2 decision stays cheap
     assert main(["robustness", str(p), "--r", "3", "--node-limit", "40"]) == 0
     assert capsys.readouterr().out == "3-robust: false\n"
+
+
+def test_graph_above_the_node_limit_decided_without_search(tmp_path, capsys):
+    # A 1-D geometric graph of 80 nodes: the kappa ceiling and the closure
+    # decide it, so the node limit, which refuses searches, lets it through.
+    p = tmp_path / "geom80.edges"
+    write_graph(gen_geometric(80, 2.5 * math.log(80) / 80, 1.0, 1, RngSeed(3, 1))[0], p)
+    assert main(["robustness", str(p)]) == 0
+    assert capsys.readouterr().out == "robustness: 4\n"
 
 
 def test_sweep_er_csv_and_gnuplot(tmp_path, capsys):

@@ -352,6 +352,31 @@ def test_search_agrees_with_oracle_on_seeded_batch():
             assert is_r_robust(g, r) == (r <= exact), (g.n, list(g.edges()), r)
 
 
+def test_is_r_robust_searches_at_most_once(monkeypatch):
+    # is_r_robust(g, r) is robustness clamped to [r - 1, r]: its ladder has
+    # one rung to prove, rho = r - 1, so a sweep's r_robust costs at most
+    # one cut search per graph. Near p_r the bounds leave that rung open.
+    module = importlib.import_module("netrobust.robustness")
+    search = module._search_cut
+    rhos = []
+
+    def counted(g, rho, allow_x, node_limit):
+        rhos.append(rho)
+        return search(g, rho, allow_x, node_limit)
+
+    monkeypatch.setattr(module, "_search_cut", counted)
+    searched = 0
+    for n in range(14, 23):
+        for r in (2, 3, 4):
+            for stream in range(4):
+                g = gen_erdos_renyi(n, threshold_p(n, r) + 1.0 / n, RngSeed(stream, 10 * r + n))
+                rhos.clear()
+                is_r_robust(g, r)
+                assert rhos in ([], [r - 1]), (n, r, stream, rhos)
+                searched += len(rhos)
+    assert searched >= 20, searched
+
+
 def test_search_depth_is_not_bounded_by_recursion_limit():
     g = cycle(1500)
     cut = find_degree_cut(g, 1, node_limit=None)
@@ -507,7 +532,7 @@ def test_core_prune_cuts_the_refutation_work(monkeypatch):
 @given(graphs(min_n=2, max_n=12))
 def test_bounds_bracket_the_oracle(g):
     assume(is_connected(g))
-    lb, ub, lb_from, ub_from = _bounds(g)
+    lb, ub, lb_from, ub_from = _bounds(g, g.n)
     assert type(lb) is int and type(ub) is int
     assert lb_from in {"connectivity", "delta", "closure"}
     assert ub_from in {"delta", "ceil(n/2)"}
@@ -524,6 +549,23 @@ def test_decision_is_logged(caplog):
         "robustness 4: lb=ub (lb from delta, ub from ceil(n/2)), no search",
         "robustness 1: searched rho=[1] of [lb=1 from connectivity, ub=4 from delta)",
         "robustness 0: disconnected",
+    ]
+
+
+def test_is_r_robust_logs_the_clamp(caplog):
+    # is_r_robust logs robustness()'s line, with the answer stated as the
+    # side of [r - 1, r] it reached, not as a robustness it never decided.
+    caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert is_r_robust(k33, 2)
+    assert not is_r_robust(k33, 3)
+    assert not is_r_robust(cycle(5), 3)
+    assert not is_r_robust(Graph(4, [(0, 1), (2, 3)]), 2)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "robustness >= 2: searched rho=[1] of [lb=1 from connectivity, ub=2 from cap)",
+        "robustness < 3: searched rho=[2] of [lb=1 from connectivity, ub=3 from delta)",
+        "robustness < 3: ub=2 from delta, no search",
+        "robustness < 2: disconnected",
     ]
 
 
@@ -592,7 +634,7 @@ def test_preferential_graphs_are_certified_without_search(monkeypatch):
     # give 1 <= robustness <= 3, and a hub-rim triangle spreads around the
     # rim at threshold 2.
     g = wheel(8)
-    assert _bounds(g)[:2] == (1, 3)
+    assert _bounds(g, g.n)[:2] == (1, 3)
     assert is_r_robust(g, 2)
 
 
@@ -724,8 +766,22 @@ def test_connectivity_ceilings_decide_without_search(monkeypatch):
     assert robustness(shared_node) == 1
     assert is_r_robust(shared_node, 1) and not is_r_robust(shared_node, 2)
     shared_three = Graph(37, sorted(set(k20.edges()) | {(u + 17, v + 17) for u, v in k20.edges()}))
-    assert vertex_connectivity(shared_three) == 3 and _bounds(shared_three)[:2] == (2, 19)
+    assert vertex_connectivity(shared_three) == 3 and _bounds(shared_three, shared_three.n)[:2] == (2, 19)
     assert not is_r_robust(shared_three, 4)
+
+
+def test_geometric_graphs_decide_at_their_connectivity_under_the_node_limit(monkeypatch):
+    # The rung rho = lb is a search, so it is skipped on a graph above the
+    # node limit: the kappa ceiling and the closure decide these without one.
+    def refuse(*args):
+        raise AssertionError("cut search ran")
+
+    monkeypatch.setattr(importlib.import_module("netrobust.robustness"), "_search_cut", refuse)
+    for n, stream, kappa in ((80, 3, 4), (160, 1, 5), (320, 0, 4), (640, 0, 7)):
+        g = geometric(n, stream)
+        assert g.n > DEFAULT_NODE_LIMIT and vertex_connectivity(g) == kappa
+        assert robustness(g) == kappa, n
+        assert is_r_robust(g, kappa) and not is_r_robust(g, kappa + 1), n
 
 
 def test_geometric_graphs_decide_at_their_connectivity_in_time():
@@ -859,3 +915,4 @@ def test_robustness_is_the_is_r_robust_frontier(g):
     assert is_r_robust(g, r)
     assert not is_r_robust(g, r + 1)
     assert r <= math.ceil(g.n / 2)
+    assert r == _naive_robustness(g)  # both functions run one ladder, so check it apart
