@@ -16,9 +16,9 @@ from .generators import (
     _graph_from_ends,
     _pa_guard,
     _pair_ends,
+    _pairs_below,
     gen_geometric,
     gen_preferential,
-    pair_uniforms,
     rng_for,
 )
 from .graph import min_degree
@@ -212,10 +212,9 @@ def run_er_sweep(spec: SweepSpec):
     props = tuple(dict.fromkeys(spec.properties))
     counts = {(p, prop): 0 for p in ascending for prop in props}
     for k in range(spec.trials):
-        u = pair_uniforms(n, rng_for(spec.base_seed.child(k)))
         # Pairs present at the highest p; every lower p selects among them.
-        top = np.flatnonzero(u < max(ascending, default=0.0))
-        u_top, (iu_top, ju_top) = u[top], _pair_ends(n, top)
+        top, u_top = _pairs_below(n, max(ascending, default=0.0), rng_for(spec.base_seed.child(k)))
+        iu_top, ju_top = _pair_ends(n, top)
         held = []  # properties that hold at this p, hence at every higher p
         for p in ascending:
             if len(held) < len(props):

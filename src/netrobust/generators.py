@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +54,98 @@ def pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(n * (n - 1) // 2)
 
 
-# Guards for G(n, p), which draws n(n-1)/2 float64 uniforms and a boolean mask
-# over them, for preferential attachment, which keeps a Fenwick tree of n
-# degrees and n adjacency rows, and for geometric placements, whose distance
-# graph tests all n(n-1)/2 pairs in a Python loop (9 s at n = 5,000).
+# The pair uniforms are drawn in chunks of _CHUNK_PAIRS. With more than two
+# chunks' worth, and two usable CPUs, _pairs_below shares the draw with a
+# helper thread; below that (n <= 512) the hand-off costs about what it saves.
+_CHUNK_PAIRS = 1 << 16
+_SPLIT_PAIRS = 2 * _CHUNK_PAIRS
+
+_helper_lock = threading.Lock()
+_helper = None  # (pid, one-thread executor), made on the first split draw
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The helper thread's executor, made anew in a forked child: the child
+    inherits the parent's executor but not its thread, so nothing would take
+    up a draw submitted there."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="netrobust-draw"))
+        return _helper[1]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_chunks(bitgen, starts: deque, m: int, p: float, chunks: dict) -> int:
+    """Take chunk starts off `starts` until it is empty and draw each chunk
+    of the m pair uniforms from bitgen, which stands at the first pair, into
+    one reused buffer. chunks[start] gets the chunk's pairs below p: their
+    positions and uniforms. Returns the position bitgen stands at."""
+    rng = np.random.Generator(bitgen)
+    buf = np.empty(min(_CHUNK_PAIRS, m))
+    below = np.empty(len(buf), bool)
+    at = 0
+    while True:
+        try:
+            start = starts.popleft()  # atomic; testing starts first would race the other thread
+        except IndexError:
+            return at
+        if start != at:
+            bitgen.advance(start - at)
+        k = min(_CHUNK_PAIRS, m - start)
+        u = rng.random(out=buf[:k])
+        i = np.flatnonzero(np.less(u, p, out=below[:k]))
+        chunks[start] = (i + start, u[i])
+        at = start + k
+
+
+def _pairs_below(n: int, p: float, rng: np.random.Generator):
+    """The pairs of G(n, p) and their uniforms: np.flatnonzero(u < p) and
+    u at those positions for u = pair_uniforms(n, rng), leaving rng where
+    pair_uniforms leaves it, without building u. rng is a PCG64 generator,
+    as rng_for makes.
+
+    Above _SPLIT_PAIRS pairs, with two usable CPUs, a helper thread takes
+    chunks too, drawing each from a copy of the PCG64 stream advanced to the
+    chunk's start. PCG64 spends one 64-bit output per double, so the copy
+    lands on the very uniforms a serial draw gives there, and the result does
+    not depend on which thread drew which chunk. A helper that gets no CPU
+    holds this thread up by at most the chunk it has taken.
+    """
+    m = n * (n - 1) // 2
+    starts, chunks = deque(range(0, m, _CHUNK_PAIRS)), {}
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    helping = None
+    if m > _SPLIT_PAIRS and _usable_cpus() >= 2:
+        copy = np.random.PCG64(0)  # any seed: its state is replaced
+        copy.state = state
+        helping = _helper_pool().submit(_draw_chunks, copy, starts, m, p, chunks)
+    bitgen.advance(m - _draw_chunks(bitgen, starts, m, p, chunks))
+    if helping is not None and not helping.cancel():
+        helping.result()
+    # advance() cleared the buffered 32-bit half-output, which drawing
+    # doubles never touches
+    end = bitgen.state
+    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    bitgen.state = end
+    parts = [chunks[start] for start in sorted(chunks)]
+    return (
+        np.concatenate([np.empty(0, np.int64)] + [positions for positions, _ in parts]),
+        np.concatenate([np.empty(0)] + [values for _, values in parts]),
+    )
+
+
+# Guards for G(n, p), which draws n(n-1)/2 float64 uniforms (in bounded
+# chunks, but 35 ms at n = 5,000) and packs n rows of n bits, for
+# preferential attachment, which keeps a Fenwick tree of n degrees and n
+# adjacency rows, and for geometric placements, whose distance graph tests
+# all n(n-1)/2 pairs in a Python loop (9 s at n = 5,000).
 ER_NODE_LIMIT = 5000
 PA_NODE_LIMIT = 5000
 GEOM_NODE_LIMIT = 5000
@@ -123,8 +215,8 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     _er_guard(n)
-    u = pair_uniforms(n, rng_for(seed))
-    return graph_from_pair_mask(n, u < p)
+    positions, _ = _pairs_below(n, p, rng_for(seed))
+    return _graph_from_ends(n, *_pair_ends(n, positions))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netrobust.cli import main
-from netrobust.generators import ER_NODE_LIMIT, GEOM_NODE_LIMIT, PA_NODE_LIMIT, RngSeed, gen_geometric
+from netrobust.generators import (
+    ER_NODE_LIMIT,
+    GEOM_NODE_LIMIT,
+    PA_NODE_LIMIT,
+    RngSeed,
+    gen_geometric,
+    graph_from_pair_mask,
+    pair_uniforms,
+    rng_for,
+)
 from netrobust.graph import complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
@@ -91,6 +100,17 @@ def test_gen_ba_json(tmp_path):
     assert main(["gen", "ba", "--n", "12", "--r", "2", "--seed", "1",
                  "--out", str(out), "--format", "json"]) == 0
     assert read_graph(out).n == 12
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_gen_er_writes_the_pair_mask_graph(tmp_path, fmt):
+    # 1000 nodes: the pair draw is split between two threads where two CPUs are usable
+    out, expected = tmp_path / "g", tmp_path / "expected"
+    assert main(["gen", "er", "--n", "1000", "--p", "0.01", "--seed", "3", "--stream", "2",
+                 "--out", str(out), "--format", fmt]) == 0
+    u = pair_uniforms(1000, rng_for(RngSeed(3, 2)))
+    write_graph(graph_from_pair_mask(1000, u < 0.01), expected, fmt)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_gen_missing_family_parameter(capsys):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netrobust import experiments
+from netrobust import experiments, generators
 from netrobust.errors import ResourceGuardError
 from netrobust.experiments import (
     ER_EXACT_LIMIT,
@@ -18,7 +18,7 @@ from netrobust.experiments import (
     run_geometric_sweep,
     threshold_p,
 )
-from netrobust.generators import PA_NODE_LIMIT, RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
+from netrobust.generators import ER_NODE_LIMIT, PA_NODE_LIMIT, RngSeed, graph_from_pair_mask, pair_uniforms, rng_for
 from netrobust.graph import min_degree
 from netrobust.io import read_records, write_records
 from netrobust.robustness import DEFAULT_NODE_LIMIT, SUBSET_ENUM_LIMIT
@@ -254,7 +254,7 @@ def _refuse_sampling(monkeypatch, name):
 
 
 def test_er_sweep_guards_fire_before_sampling(monkeypatch):
-    _refuse_sampling(monkeypatch, "pair_uniforms")
+    _refuse_sampling(monkeypatch, "_pairs_below")
     # every offset clamps to p = 0, where no property would be evaluated
     empty = dict(offsets=(-1000.0,), trials=2)
     n = SUBSET_ENUM_LIMIT + 1
@@ -275,6 +275,37 @@ def test_er_sweep_r1_robustness_needs_no_cut_search_guard():
         "erdos_renyi", n, 1, 4, 1, offsets=(-2.0, 3.0), properties=("r_robust",), exact_limit=n
     )
     assert run_er_sweep(spec) == reference_er_sweep(spec)
+
+
+# Every ER sweep the tests run, criterion 07's and the CLI's included.
+TESTED_ER_SPECS = [
+    SweepSpec("erdos_renyi", 20, 2, 500, RngSeed(20260814)),
+    SweepSpec("erdos_renyi", 1000, 2, 500, RngSeed(20260815), properties=("min_degree_r", "r_connected")),
+    SweepSpec("erdos_renyi", 8, 2, 40, RngSeed(5)),
+    SweepSpec("erdos_renyi", 8, 2, 10, RngSeed(5), offsets=(-8.0, 0.0, 8.0)),
+    SweepSpec("erdos_renyi", 8, 2, 10, 4, offsets=(-2.0, 0.0, 2.0)),
+    SweepSpec("erdos_renyi", 6, 1, 2, 0),
+    SweepSpec("erdos_renyi", ER_EXACT_LIMIT + 1, 2, 3, 1, offsets=(0.0,), properties=("min_degree_r", "r_connected")),
+    SweepSpec("erdos_renyi", 12, 2, 20, RngSeed(3), offsets=MIXED_OFFSETS, properties=ALL_KINDS),
+    SweepSpec("erdos_renyi", DEFAULT_NODE_LIMIT + 1, 1, 4, 1, offsets=(-2.0, 3.0), properties=("r_robust",),
+              exact_limit=DEFAULT_NODE_LIMIT + 1),
+    *(
+        SweepSpec("erdos_renyi", n, r, trials, RngSeed(31, n + r), offsets=MIXED_OFFSETS, properties=properties)
+        for n, trials, properties in [(10, 30, ALL_KINDS), (12, 15, ALL_KINDS), (200, 3, ("min_degree_r", "r_connected"))]
+        for r in (1, 2, 3)
+    ),
+]
+
+
+def test_er_sweep_records_do_not_depend_on_the_draw_split(monkeypatch):
+    # the helper thread draws the second half of each trial's stream when the
+    # split is on; the records must be those of a one-thread draw
+    monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+    records = {}
+    for split_pairs in (0, ER_NODE_LIMIT**2):
+        monkeypatch.setattr(generators, "_SPLIT_PAIRS", split_pairs)
+        records[split_pairs] = [run_er_sweep(spec) for spec in TESTED_ER_SPECS]
+    assert records[0] == records[ER_NODE_LIMIT**2]
 
 
 def test_geometric_sweep():

@@ -4,8 +4,15 @@ shape facts each family guarantees by construction."""
 import bisect
 import itertools
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import deque
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +20,7 @@ from scipy import stats
 
 from netrobust import generators
 from netrobust.errors import ResourceGuardError
+from netrobust.experiments import threshold_p
 from netrobust.generators import (
     ER_NODE_LIMIT,
     GEOM_NODE_LIMIT,
@@ -32,6 +40,8 @@ from netrobust.generators import (
 )
 from netrobust.graph import Graph, complete, cycle, is_connected, min_degree
 from netrobust.robustness import is_r_robust, robustness
+
+SRC = str(Path(generators.__file__).parents[1])
 
 
 # --- seeds -------------------------------------------------------------------
@@ -148,6 +158,195 @@ def test_er_node_guard_is_inclusive_and_raised_before_sampling(monkeypatch):
     with pytest.raises(ResourceGuardError, match="n=6 exceeds the guard ER_NODE_LIMIT = 5"):
         gen_erdos_renyi(6, 0.5, RngSeed(0))
     assert ER_NODE_LIMIT == 5000
+
+
+# --- the pair draw: chunks of one stream, shared with a helper thread ----------
+
+
+def force_split(monkeypatch, on: bool) -> None:
+    """Share every draw of a pair or more with the helper thread, or none."""
+    monkeypatch.setattr(generators, "_SPLIT_PAIRS", 0 if on else ER_NODE_LIMIT**2)
+    monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+
+
+def count_helpers(monkeypatch) -> list:
+    """Record every draw handed to the helper thread."""
+    calls, real = [], generators._helper_pool
+
+    def pool():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(generators, "_helper_pool", pool)
+    return calls
+
+
+class ScriptedHelper:
+    """A stand-in for the helper's executor. submit() either leaves the draw
+    pending, so that the caller's thread draws every chunk, or runs it at
+    once on the chunks `take(index)` picks, leaving the rest to the caller."""
+
+    def __init__(self, take=None):
+        self.take = take
+
+    def submit(self, fn, bitgen, starts, *args):
+        done = Future()
+        if self.take is not None:
+            mine = [start for index, start in enumerate(starts) if self.take(index)]
+            for start in mine:
+                starts.remove(start)
+            done.set_result(fn(bitgen, deque(mine), *args))
+        return done
+
+
+def assert_draw_is_the_serial_draw(n, p, seed):
+    """_pairs_below gives np.flatnonzero(u < p) and u there for u =
+    pair_uniforms(n, rng), and leaves rng where pair_uniforms leaves it."""
+    rng, serial = rng_for(seed), rng_for(seed)
+    positions, values = generators._pairs_below(n, p, rng)
+    u = pair_uniforms(n, serial)
+    expected = np.flatnonzero(u < p)
+    assert positions.dtype == expected.dtype and np.array_equal(positions, expected)
+    assert values.dtype == u.dtype and np.array_equal(values, u[expected])
+    assert rng.bit_generator.state == serial.bit_generator.state
+    assert rng.random() == serial.random()
+
+
+@pytest.mark.parametrize("n", [512, 513, 1000])
+def test_pair_draw_splits_only_above_the_constant_and_matches_the_serial_draw(monkeypatch, n):
+    # 512 nodes have 130,816 pairs, just under _SPLIT_PAIRS = 2^17; 513 have 131,328
+    monkeypatch.setattr(generators, "_usable_cpus", lambda: 2)
+    helpers = count_helpers(monkeypatch)
+    for p in (0.0, 1e-4, threshold_p(n, 2), 1.0):
+        helpers.clear()
+        assert_draw_is_the_serial_draw(n, p, RngSeed(n, 5))
+        assert len(helpers) == (n > 512)
+    assert generators._SPLIT_PAIRS == 1 << 17
+
+
+def test_pair_draw_stays_serial_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(generators, "_usable_cpus", lambda: 1)
+    helpers = count_helpers(monkeypatch)
+    assert_draw_is_the_serial_draw(1000, 0.01, RngSeed(3))
+    assert helpers == []
+
+
+@pytest.mark.parametrize(
+    "take",
+    [None, lambda i: True, lambda i: False, lambda i: i % 2 == 1, lambda i: i % 3 == 0, lambda i: i >= 5],
+    ids=["pending", "all", "none", "odd", "every-third", "tail"],
+)
+def test_pair_draw_does_not_depend_on_which_thread_draws_which_chunk(monkeypatch, take):
+    force_split(monkeypatch, True)
+    monkeypatch.setattr(generators, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setattr(generators, "_helper_pool", lambda: ScriptedHelper(take))
+    for n, p in [(2, 0.5), (45, 0.3), (46, 0.3), (129, 1.0), (300, 0.0), (300, 0.02), (400, 1e-4)]:
+        assert_draw_is_the_serial_draw(n, p, RngSeed(n, 11))
+
+
+@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("chunk", [31, 32, 33, 63, 64, 65, 4127, 4128, 4129, 8255, 8256, 8257])
+def test_pair_draw_at_chunk_boundaries(monkeypatch, split, chunk):
+    # 129 nodes have 8,256 = 64 * 129 pairs
+    force_split(monkeypatch, split)
+    monkeypatch.setattr(generators, "_CHUNK_PAIRS", chunk)
+    for p in (0.0, 1e-4, threshold_p(129, 2), 0.5, 1.0):
+        assert_draw_is_the_serial_draw(129, p, RngSeed(chunk, int(split)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_draw_on_tiny_graphs(monkeypatch, n):
+    force_split(monkeypatch, True)
+    for p in (0.0, 0.5, 1.0):
+        assert_draw_is_the_serial_draw(n, p, RngSeed(n))
+
+
+def test_pair_draw_on_random_cases_with_the_split_forced_on(monkeypatch):
+    force_split(monkeypatch, True)
+    monkeypatch.setattr(generators, "_CHUNK_PAIRS", 1000)
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        n = int(rng.integers(2, 400))
+        p = float(rng.choice([0.0, 1.0, rng.random(), rng.random() / n]))
+        assert_draw_is_the_serial_draw(n, p, RngSeed(int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(9))))
+
+
+def test_pair_draw_keeps_a_buffered_32_bit_half_output(monkeypatch):
+    # doubles never touch the buffered half of a 64-bit output, so neither may the split
+    force_split(monkeypatch, True)
+    rng, serial = rng_for(8), rng_for(8)
+    rng.integers(2**32, dtype=np.uint32), serial.integers(2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    generators._pairs_below(300, 0.02, rng)
+    pair_uniforms(300, serial)
+    assert rng.bit_generator.state == serial.bit_generator.state
+    assert rng.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("split", [True, False, None])
+def test_er_graph_is_the_pair_mask_graph(monkeypatch, split):
+    if split is not None:
+        force_split(monkeypatch, split)
+    for n, p, seed in [(1, 0.5, 0), (2, 1.0, 1), (10, 0.5, 2), (300, 0.02, 3), (600, 0.01, RngSeed(4, 2)), (1000, 0.006, 5)]:
+        expected = graph_from_pair_mask(n, pair_uniforms(n, rng_for(seed)) < p)
+        assert gen_erdos_renyi(n, p, seed) == expected, (n, p, seed)
+
+
+def test_a_large_er_graph_never_holds_all_pair_uniforms():
+    # 12.5 million pairs: 100 MB of uniforms if drawn at once
+    tracemalloc.start()
+    try:
+        gen_erdos_renyi(5000, 0.002, RngSeed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_a_forked_child_draws_on_its_own_helper_thread(monkeypatch):
+    # the child inherits the parent's executor but not its thread
+    force_split(monkeypatch, True)
+    generators._pairs_below(1000, 0.01, rng_for(4))
+    parent_helper = generators._helper
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            assert_draw_is_the_serial_draw(1000, 0.01, RngSeed(5))
+            code = 0 if generators._helper[0] == os.getpid() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split draw did not finish in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert generators._helper is parent_helper
+
+
+def test_a_sweep_process_exits_with_the_helper_idle():
+    script = (
+        "import threading\n"
+        "from netrobust import generators\n"
+        "from netrobust.experiments import SweepSpec, run_er_sweep\n"
+        "generators._usable_cpus = lambda: 2\n"
+        "run_er_sweep(SweepSpec('erdos_renyi', 1000, 2, 2, 1, properties=('min_degree_r',)))\n"
+        "print(sorted(t.name for t in threading.enumerate()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['MainThread', 'netrobust-draw_0']"
+    assert time.monotonic() - start < 10
 
 
 # --- geometric ---------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""The names the package exports."""
+"""The names the package exports, and what importing it starts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import netrobust
 
@@ -29,3 +34,17 @@ def test_star_import_exports_exactly_the_pinned_names():
     del namespace["__builtins__"]
     assert set(namespace) == STAR_EXPORTS
     assert all(namespace[name] is getattr(netrobust, name) for name in STAR_EXPORTS)
+
+
+def test_importing_the_package_starts_no_thread():
+    # the G(n, p) draw's helper thread starts on the first split draw, not before
+    script = (
+        "import threading\n"
+        "import netrobust, netrobust.cli\n"
+        "print([t.name for t in threading.enumerate()])\n"
+    )
+    src = str(Path(netrobust.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['MainThread']"
