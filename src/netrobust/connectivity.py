@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 
-from .graph import Graph, _spread, is_connected, iter_bits, min_degree
+from .graph import Graph, _least_degree, _spread, is_connected, iter_bits, min_degree
 
 _log = logging.getLogger("netrobust.connectivity")
 
@@ -39,8 +39,10 @@ class _SplitFlow:
 
         A warm start lays the short paths first: s -> w -> t for each common
         neighbour w, then, greedily in node order, s -> x -> y -> t over nodes
-        no path uses yet. Each is recorded exactly as an augmentation would
-        record it, so the search below may still cancel it.
+        no path uses yet. They are counted on the adjacency rows, and a count
+        that reaches limit is returned at once. Otherwise each is recorded
+        exactly as an augmentation would record it, so the search below may
+        still cancel it.
 
         Each further augmenting path comes from a BFS over the residual
         states, one layer of in-states and one of out-states at a time:
@@ -53,46 +55,46 @@ class _SplitFlow:
         """
         adj, res = self.adj, self.res
         t_bit = 1 << t
+        self.calls += 1
+        # The warm start is counted on the rows first, so a flow that it
+        # settles returns before any bookkeeping is written.
+        common = adj[s] & adj[t]
+        flow = common.bit_count()
+        if flow >= limit:
+            self.seeded += limit
+            return limit
+        steps = []  # (x, y) of each s -> x -> y -> t path, in the order laid
+        firsts = adj[s] & ~common
+        lasts = adj[t] & ~common
+        while firsts:
+            bit = firsts & -firsts
+            firsts ^= bit
+            x = bit.bit_length() - 1
+            ys = adj[x] & lasts
+            if ys:
+                y_bit = ys & -ys
+                lasts ^= y_bit
+                steps.append((x, y_bit.bit_length() - 1))
+                flow += 1
+                if flow == limit:
+                    self.seeded += limit
+                    return limit
+        self.seeded += flow
         pred: dict = {}  # flow edge pred[w] -> w, for every w with flow through it
         succ: dict = {}  # flow edge v -> succ[v], likewise
-        busy = 0  # bitmask of the nodes with flow through them
+        busy = common  # bitmask of the nodes with flow through them
         touched = [s]  # rows of res that lost a bit
-        flow = 0
-        common = adj[s] & adj[t]
-        while common and flow < limit:
-            bit = common & -common
-            common ^= bit
-            w = bit.bit_length() - 1
-            res[s] ^= bit
+        for w in iter_bits(common):
             res[w] ^= t_bit
             touched.append(w)
             pred[w], succ[w] = s, t
-            busy |= bit
-            flow += 1
-        if flow < limit:
-            firsts = adj[s] & ~busy
-            lasts = adj[t] & ~busy
-            while firsts:
-                bit = firsts & -firsts
-                firsts ^= bit
-                x = bit.bit_length() - 1
-                ys = adj[x] & lasts
-                if not ys:
-                    continue
-                y_bit = ys & -ys
-                y = y_bit.bit_length() - 1
-                lasts ^= y_bit
-                res[s] ^= bit
-                res[x] ^= y_bit
-                res[y] ^= t_bit
-                touched += (x, y)
-                pred[x], succ[x], pred[y], succ[y] = s, y, x, t
-                busy |= bit | y_bit
-                flow += 1
-                if flow == limit:
-                    break
-        self.calls += 1
-        self.seeded += flow
+        for x, y in steps:
+            res[x] ^= 1 << y
+            res[y] ^= t_bit
+            touched += (x, y)
+            pred[x], succ[x], pred[y], succ[y] = s, y, x, t
+            busy |= 1 << x | 1 << y
+        res[s] ^= busy & adj[s]
         while flow < limit:
             outs = []  # outs[i]: the out-states first reached in layer i
             seen_in = seen_out = frontier = 1 << s
@@ -258,7 +260,7 @@ def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tup
     if k == g.n - 1:
         return k, "complete"
     net = net or _SplitFlow(g)
-    adj, s = g.adj, min(range(g.n), key=g.degree)
+    adj, s = g.adj, _least_degree(g.adj)
     best, closed, linked = k, 0, adj[s] | 1 << s
 
     def pairs():  # reads best as the loop below lowers it

@@ -197,6 +197,12 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
 
 
+def _least_degree(adj: list) -> int:
+    """The lowest-index node of least degree in the rows adj, for n >= 1."""
+    degrees = [row.bit_count() for row in adj]
+    return degrees.index(min(degrees))
+
+
 def with_added_node(g: Graph, neighbors: frozenset) -> Graph:
     """New graph with node index n attached to the given nonempty neighbor set."""
     if not neighbors:

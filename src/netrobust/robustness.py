@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .connectivity import _articulation, _separator
 from .errors import ResourceGuardError
-from .graph import _LEVELS_UPTO, Graph, _component, _node_mask, _spread, is_connected, iter_bits, min_degree, set_of
+from .graph import (_LEVELS_UPTO, Graph, _component, _least_degree, _node_mask, _spread, is_connected, iter_bits,
+                    min_degree, set_of)
 
 # Advisory guard for the exponential cut search; callers may raise or lift it.
 DEFAULT_NODE_LIMIT = 25
@@ -198,6 +199,21 @@ def _core(adj: list, mask: int, rho: int) -> int:
     return core
 
 
+def _probe(adj: list, rho: int):
+    """A cheap rho-cut (a, b, x), or None: a is the core (see _core) of the
+    closed neighbourhood of the least-degree node, b the core of the rest.
+    Both are rho-closed, so two nonempty ones are a cut; a miss proves
+    nothing. It places no node, so no node limit applies."""
+    s = _least_degree(adj)
+    a = _core(adj, adj[s] | 1 << s, rho)
+    if a:
+        rest = ((1 << len(adj)) - 1) & ~a
+        b = _core(adj, rest, rho)
+        if b:
+            return a, b, rest & ~b
+    return None
+
+
 def _search_cut(g: Graph, rho: int, allow_x: bool, node_limit):
     """Exhaustive branch-and-bound over {A, B, X} labelings.
 
@@ -275,8 +291,8 @@ def _trivial_cut(g: Graph, rho: int):
     if a != g.full_mask():
         return a, g.full_mask() & ~a, 0
     if rho >= 1:
-        v = min(range(g.n), key=g.degree)
-        if g.degree(v) <= rho:
+        v = _least_degree(g.adj)
+        if g.adj[v].bit_count() <= rho:
             a = 1 << v
             b = g.full_mask() & ~a
             return a, b, 0
@@ -427,7 +443,8 @@ def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
     ub certified and lb certified or a floor; how names what decided it. A
     rho-cut is also a (rho + 1)-cut, so one proof that no cut exists just
     below a ceiling settles every lower rho. In order: a cut vertex (lb = 1)
-    decides 1; if lb + 1 < ub and the node limit allows a search, a cut at
+    decides 1; if lb + 1 < ub, a recounted probe cut (_probe) at rho = lb
+    decides lb, and on a miss, if the node limit allows a search, a cut at
     rho = lb decides lb and none certifies lb + 1; a kappa below ub, whose
     minimum separator S gives the kappa-cut (a component of G - S, the rest,
     S), ends at lb if kappa <= lb, else becomes ub with the closure tried
@@ -450,10 +467,15 @@ def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
     def how(*notes) -> str:
         return ", ".join([f"searched rho={rungs}"] * bool(rungs) + list(notes))
 
-    if lb + 1 < ub and not _refused(g.n, node_limit):
-        if reach_of_cut(lb) is not None:
-            return lb, how()
-        lb += 1
+    if lb + 1 < ub:
+        found = _probe(adj, lb)
+        if found is not None:
+            _recount(adj, found, lb)
+            return lb, f"probe cut at rho={lb}"
+        if not _refused(g.n, node_limit):
+            if reach_of_cut(lb) is not None:
+                return lb, how()
+            lb += 1
     ceiling = ()
     kappa, sep = _separator(g, ub)
     if kappa < ub:

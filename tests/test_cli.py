@@ -23,7 +23,7 @@ from netrobust.generators import (
     pair_uniforms,
     rng_for,
 )
-from netrobust.graph import complete, counterexample
+from netrobust.graph import Graph, complete, counterexample
 from netrobust.io import read_graph, read_positions, read_records, read_roles, write_graph
 
 from test_io import HOSTILE_CONSENSUS_CONFIGS, HOSTILE_FORMULAS, HUGE_GRAPHS, write_input
@@ -274,13 +274,14 @@ def test_sweep_ba_with_a_repeated_property(tmp_path, capsys):
 
 
 def test_node_limit_guard_exit_code(tmp_path, capsys):
-    p = tmp_path / "cx30.edges"
-    write_graph(counterexample(30), p)
+    # K_{15,15}: no bound, certificate or probe decides it, so it needs a search
+    p = tmp_path / "k15_15.edges"
+    write_graph(Graph(30, [(u, v) for u in range(15) for v in range(15, 30)]), p)
     assert main(["robustness", str(p)]) == 2
     assert "resource guard" in capsys.readouterr().err
     # an explicit limit lifts the guard; the rho=2 decision stays cheap
     assert main(["robustness", str(p), "--r", "3", "--node-limit", "40"]) == 0
-    assert capsys.readouterr().out == "3-robust: false\n"
+    assert capsys.readouterr().out == "3-robust: true\n"
 
 
 def test_graph_above_the_node_limit_decided_without_search(tmp_path, capsys):

@@ -755,9 +755,13 @@ def test_bfs_cancels_a_seeded_path_that_no_maximum_flow_uses():
 
 
 def test_warm_start_lays_disjoint_paths_up_to_the_limit():
+    # Every limit from 1 to past the minimum degree: a flow whose counted
+    # warm start reaches its limit returns before any bookkeeping, and
+    # every other flow lays the warm start and searches on.
     rng = random.Random(12)
     laid = set()
-    for n, p in [(9, 0.35), (11, 0.3), (12, 0.45)]:
+    settled = searched = 0
+    for n, p in [(9, 0.35), (11, 0.3), (12, 0.45), (9, 0.6), (10, 0.7)]:
         for _ in range(5):
             g = gen_erdos_renyi(n, p, rng.randrange(2**32))
             net = _SplitFlow(g)
@@ -768,11 +772,42 @@ def test_warm_start_lays_disjoint_paths_up_to_the_limit():
                     paths = warm_start_paths(g, u, v)
                     inner = [w for path_ in paths for w in path_]
                     assert len(inner) == len(set(inner))
-                    limit = rng.randint(1, 5)
-                    before = net.seeded
-                    flow = net.max_flow(u, v, limit)
-                    assert net.seeded - before == min(len(paths), limit)
-                    assert flow == min(limit, brute_local_connectivity(g, u, v)), (g.edges(), u, v)
-                    assert net.res == g.adj
-                    laid.add(max((len(path_) for path_ in paths[:limit]), default=0))
+                    menger = brute_local_connectivity(g, u, v)
+                    for limit in range(1, max(min_degree(g) + 1, 5) + 1):
+                        before, augmented = net.seeded, net.augmented
+                        flow = net.max_flow(u, v, limit)
+                        assert net.seeded - before == min(len(paths), limit)
+                        assert flow == min(limit, menger), (g.edges(), u, v, limit)
+                        assert net.res == g.adj
+                        laid.add(max((len(path_) for path_ in paths[:limit]), default=0))
+                        if flow == limit and net.augmented == augmented:
+                            settled += 1
+                        else:
+                            searched += 1
     assert laid == {0, 1, 2}
+    assert settled >= 1000 and searched >= 1000, (settled, searched)
+
+
+def test_separator_stays_the_last_short_flows_across_settled_flows():
+    rng = random.Random(23)
+    settled = checked = 0
+    for _ in range(40):
+        g = glued(rng, rng.randint(4, 8), rng.randint(4, 8), rng.randint(1, 3), rng.choice((0.6, 0.8, 0.95)))
+        net = _SplitFlow(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v and not g.has_edge(u, v)]
+        rng.shuffle(pairs)
+        last = None  # (separator, flow, s, t) of the last flow short of its limit
+        for u, v in pairs:
+            limit = rng.choice((1, 2, g.n))
+            augmented = net.augmented
+            flow = net.max_flow(u, v, limit)
+            if flow < limit:
+                last = (net.separator(), flow, u, v)
+            elif last is not None and net.augmented == augmented:
+                settled += 1
+            if last is not None:
+                sep, size, s, t = last
+                assert net.separator() == sep and sep.bit_count() == size, (g.edges(), s, t)
+                assert not sep & (1 << s | 1 << t) and not cut_off(g, sep, s) >> t & 1, (g.edges(), s, t)
+                checked += 1
+    assert settled >= 300 and checked >= 1000, (settled, checked)

@@ -303,11 +303,22 @@ def test_is_r_robust_edges_of_range():
         robustness(Graph(0))
 
 
+def complete_bipartite(a: int) -> Graph:
+    return Graph(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])
+
+
 def test_node_limit_guard_and_override():
-    big = counterexample(DEFAULT_NODE_LIMIT + 1)  # its bounds leave 1..13 open
-    with pytest.raises(ResourceGuardError, match="node limit"):
-        robustness(big)
-    assert robustness(big, node_limit=big.n) == 1
+    # K_{13,13}: its bounds leave 1..13 open, and the probe misses it, so
+    # only a search can decide it. K_{a,a} has robustness ceil(a/2), here 7;
+    # the full descent to it takes about a minute, so the override is shown
+    # on one-rung decisions on either side of it.
+    big = complete_bipartite(13)
+    assert big.n == DEFAULT_NODE_LIMIT + 1
+    for decide in (robustness, lambda g: is_r_robust(g, 2)):
+        with pytest.raises(ResourceGuardError, match="node limit"):
+            decide(big)
+    assert is_r_robust(big, 2, node_limit=big.n)
+    assert not is_r_robust(big, 8, node_limit=big.n)
 
 
 def _refuse_placement(monkeypatch):
@@ -330,11 +341,21 @@ def test_graphs_decided_without_search_pass_the_node_limit(monkeypatch):
 
 def test_node_limit_refuses_a_search_before_it_starts(monkeypatch):
     _refuse_placement(monkeypatch)
-    g = counterexample(DEFAULT_NODE_LIMIT + 1)
-    for decide in (robustness, lambda g: is_r_robust(g, 2), lambda g: find_degree_cut(g, 1),
-                   lambda g: find_relaxed_degree_cut(g, 1)):
+    # The finders never probe, so counterexample(26) still needs their search.
+    for g, decide in ((complete_bipartite(13), robustness), (complete_bipartite(13), lambda g: is_r_robust(g, 2)),
+                      (counterexample(26), lambda g: find_degree_cut(g, 1)),
+                      (counterexample(26), lambda g: find_relaxed_degree_cut(g, 1))):
         with pytest.raises(ResourceGuardError, match="node limit"):
             decide(g)
+
+
+def test_probe_decides_counterexamples_above_the_node_limit(monkeypatch):
+    # Two n/2-cliques joined by a matching: the core of the closed
+    # neighbourhood of node 0 is its clique, and the core of the rest is the
+    # other, so the probe decides 1 with no search at any size.
+    _refuse_placement(monkeypatch)
+    for n in range(26, 61, 2):
+        assert robustness(counterexample(n)) == 1, n
 
 
 def test_oracle_guard():
@@ -547,7 +568,7 @@ def test_decision_is_logged(caplog):
     messages = [rec.getMessage() for rec in caplog.records]
     assert messages == [
         "robustness 4: lb=ub (lb from delta, ub from ceil(n/2)), no search",
-        "robustness 1: searched rho=[1] of [lb=1 from connectivity, ub=4 from delta)",
+        "robustness 1: probe cut at rho=1 of [lb=1 from connectivity, ub=4 from delta)",
         "robustness 0: disconnected",
     ]
 
@@ -736,6 +757,47 @@ def test_descent_jumps_by_the_recounted_reach(monkeypatch, caplog):
         robustness(k44)  # node 0 has 3 > 1 outside neighbours: the lb rung's cut fails
 
 
+def test_robustness_refuses_a_probe_cut_that_fails_the_recount(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    monkeypatch.setattr(module, "_probe", lambda adj, rho: _masks({0, 1}, {4, 5, 6, 7}, {2, 3}))
+    with pytest.raises(AssertionError, match="recount"):
+        robustness(counterexample(8))  # node 0 has 3 > 1 outside neighbours
+
+
+def matched_halves(rng: random.Random, n: int, p: float, extra: int) -> Graph:
+    """Two G(a, p) halves joined by a random matching of at least two pairs
+    and `extra` random cross edges: often robustness 1 with no cut vertex."""
+    a = rng.randint(4, n - 4)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if (u < a) == (v < a) and rng.random() < p}
+    left, right = rng.sample(range(a), rng.randint(2, min(a, n - a))), rng.sample(range(a, n), n - a)
+    edges |= set(zip(left, right))
+    for _ in range(extra):
+        edges.add((rng.randrange(a), rng.randrange(a, n)))
+    return Graph(n, sorted(edges))
+
+
+def test_probe_hits_and_misses_agree_with_the_oracles(monkeypatch):
+    module = importlib.import_module("netrobust.robustness")
+    probe, hits = module._probe, []
+
+    def counted(adj, rho):
+        found = probe(adj, rho)
+        hits.append(found is not None)
+        return found
+
+    monkeypatch.setattr(module, "_probe", counted)
+    rng = random.Random(0x9B0BE)
+    for _ in range(150):
+        n = rng.randint(8, 10)
+        if rng.random() < 0.7:
+            g = matched_halves(rng, n, rng.choice([0.8, 0.9, 1.0]), rng.choice([0, 0, 1, 3]))
+        else:
+            g = random_graph(rng, n, rng.choice([0.5, 0.7, 0.9]))
+        if is_connected(g):
+            assert robustness(g) == _naive_robustness(g) == reference_robustness(g), list(g.edges())
+    assert hits.count(True) >= 20 and hits.count(False) >= 20, (hits.count(True), hits.count(False))
+
+
 def test_top_down_decision_matches_plain_ascending_search(caplog):
     caplog.set_level(logging.DEBUG, logger="netrobust.robustness")
     corpus = [counterexample(n) for n in range(14, 25, 2)]
@@ -748,7 +810,7 @@ def test_top_down_decision_matches_plain_ascending_search(caplog):
         if is_connected(g):
             assert robustness(g) == reference_robustness(g), (g.n, list(g.edges()))
             deciders.add(caplog.records[-1].getMessage().split(": ")[1].split(" ")[0])
-    assert deciders >= {"cut", "searched", "lb=ub"}
+    assert deciders >= {"cut", "probe", "searched", "lb=ub"}
     assert any("kappa" in rec.getMessage() for rec in caplog.records)
     assert any(", closure of" in rec.getMessage() for rec in caplog.records)
 
