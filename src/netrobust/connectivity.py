@@ -17,20 +17,26 @@ class _SplitFlow:
     Node v stands for an arc in_v -> out_v and edge {u, v} for the arcs
     out_u -> in_v and out_v -> in_u, all of capacity 1, so a flow of value k
     from out_s to in_t is k internally node-disjoint s-t paths. The split
-    digraph is never built. res[v] is the bitmask of residual arcs
-    out_v -> in_w: the adjacency row of v less the flow edge leaving v.
+    digraph is never built, and a flow is kept only as its map: pred[w] -> w
+    and v -> succ[v] for its edges, and busy for the nodes it passes through.
 
-    Built once per graph and reused for every terminal pair: max_flow puts
-    back the rows it changed before it returns, so each call starts from
-    zero flow. calls, seeded and augmented count the max_flow calls, the
-    paths laid by their warm starts and their BFS augmentations. reached
-    keeps (s, in-states, out-states) of the last search that fell short of
-    its limit, for separator.
+    The search steps from out_v over all of adj[v], saturated arcs too.
+    That adds two kinds of arc to the residual graph: out_u -> in_succ[u]
+    for a busy u != s, whose target is already reached, as a busy out_u is
+    entered only from in_succ[u]; and out_s -> in_w for a flow s -> w, where
+    in_w leads only back to out_s. So the same states reach in_t, no
+    out-state in the layer before in_w carries its flow into w, and every
+    neighbour of s is reached.
+
+    Built once per graph and reused for every terminal pair: each max_flow
+    call starts from zero flow. calls, seeded and augmented count the
+    max_flow calls, the paths laid by their warm starts and their BFS
+    augmentations. reached keeps the separator of the last search that fell
+    short of its limit.
     """
 
     def __init__(self, g: Graph):
         self.adj = g.adj
-        self.res = list(g.adj)
         self.calls = self.seeded = self.augmented = 0
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
@@ -40,24 +46,24 @@ class _SplitFlow:
         A warm start lays the short paths first: s -> w -> t for each common
         neighbour w, then, greedily in node order, s -> x -> y -> t over nodes
         no path uses yet. They are counted on the adjacency rows, and a count
-        that reaches limit is returned at once. Otherwise each is recorded
-        exactly as an augmentation would record it, so the search below may
-        still cancel it.
+        that reaches limit is returned at once. Otherwise each is recorded in
+        the flow map exactly as an augmentation would record it, so the
+        search below may still cancel it.
 
-        Each further augmenting path comes from a BFS over the residual
-        states, one layer of in-states and one of out-states at a time:
+        Each further augmenting path comes from a BFS over the states, one
+        layer of in-states and one of out-states at a time:
 
-        - out_v -> in_w for w in res[v];
+        - out_v -> in_w for w in adj[v];
         - out_v -> in_v if flow passes through v (cancelling it);
         - in_w -> out_w if no flow passes through w;
         - in_w -> out_pred[w] if flow passes through w (cancelling the edge
           pred[w] -> w).
         """
-        adj, res = self.adj, self.res
+        adj = self.adj
         t_bit = 1 << t
         self.calls += 1
         # The warm start is counted on the rows first, so a flow that it
-        # settles returns before any bookkeeping is written.
+        # settles returns before the flow map is written.
         common = adj[s] & adj[t]
         flow = common.bit_count()
         if flow >= limit:
@@ -83,18 +89,11 @@ class _SplitFlow:
         pred: dict = {}  # flow edge pred[w] -> w, for every w with flow through it
         succ: dict = {}  # flow edge v -> succ[v], likewise
         busy = common  # bitmask of the nodes with flow through them
-        touched = [s]  # rows of res that lost a bit
         for w in iter_bits(common):
-            res[w] ^= t_bit
-            touched.append(w)
             pred[w], succ[w] = s, t
         for x, y in steps:
-            res[x] ^= 1 << y
-            res[y] ^= t_bit
-            touched += (x, y)
             pred[x], succ[x], pred[y], succ[y] = s, y, x, t
             busy |= 1 << x | 1 << y
-        res[s] ^= busy & adj[s]
         while flow < limit:
             outs = []  # outs[i]: the out-states first reached in layer i
             seen_in = seen_out = frontier = 1 << s
@@ -105,7 +104,7 @@ class _SplitFlow:
                 while f and not step & t_bit:
                     low = f & -f
                     f ^= low
-                    step |= res[low.bit_length() - 1]
+                    step |= adj[low.bit_length() - 1]
                 if step & t_bit:
                     break
                 step = (step | frontier & busy) & ~seen_in
@@ -119,23 +118,17 @@ class _SplitFlow:
                 frontier &= ~seen_out
                 seen_out |= frontier
             else:
-                self.reached = (s, seen_in, seen_out)
+                self.reached = seen_in & ~seen_out
                 break  # in_t is out of reach: the flow is maximum
-            # Walk back from in_t: in_w was reached from some out_u of the
-            # previous layer, and out_u from in_u, or from in_succ[u] when
+            # Walk back from in_t: in_w was reached from the lowest out_u of
+            # the previous layer adjacent to w, or else from out_w (cancelling
+            # the flow through w); out_u from in_u, or from in_succ[u] when
             # flow passes through u.
             added, removed = [], []
             w = t
             for frontier in reversed(outs):
                 f = frontier & adj[w]
-                while f:
-                    low = f & -f
-                    u = low.bit_length() - 1
-                    if res[u] >> w & 1:
-                        break
-                    f ^= low
-                else:
-                    u = w  # out_w -> in_w, cancelling the flow through w
+                u = (f & -f).bit_length() - 1 if f else w
                 if u != w:
                     added.append((u, w))
                 if busy >> u & 1:
@@ -144,12 +137,9 @@ class _SplitFlow:
                 else:
                     w = u
             for u, w in removed:
-                res[u] |= 1 << w
                 del succ[u], pred[w]
                 busy &= ~(1 << w)
             for u, w in added:
-                res[u] &= ~(1 << w)
-                touched.append(u)
                 if u != s:
                     succ[u] = w
                 if w != t:
@@ -157,21 +147,15 @@ class _SplitFlow:
                     busy |= 1 << w
             flow += 1
             self.augmented += 1
-        for v in touched:
-            res[v] = adj[v]
         return flow
 
     def separator(self) -> int:
         """A minimum s-t separator, as a bitmask, for the last max_flow call
-        that fell short of its limit, read off the states its last search
-        reached. Every arc leaving them is saturated, and there are as many
-        of these arcs as paths (max-flow min-cut). Each is a node arc
-        in_v -> out_v, giving v, or an arc out_s -> in_w, giving w: for
-        u != s with flow to w, out_u is reached only from in_w. Every s-t
-        path leaves the reached states through one of these arcs, at the
-        node it gives."""
-        s, seen_in, seen_out = self.reached
-        return seen_in & ~seen_out | self.adj[s] & ~seen_in
+        that fell short of its limit: the nodes whose in-state its last
+        search reached but not their out-state. Every arc leaving the reached
+        states is saturated, one per path (max-flow min-cut), and as every
+        neighbour of s is reached, each is a node arc in_v -> out_v."""
+        return self.reached
 
 
 def _articulation(g: Graph) -> tuple[int, int]:
@@ -295,7 +279,7 @@ def _separator(g: Graph, k: int) -> tuple[int, int]:
     by the exact ladder and, when c < k, sep a bitmask of c nodes whose
     removal disconnects g (else 0). A flow below k lowers c only when it is
     the least so far, so the last short flow is the minimum pair's, and its
-    separator is read off the flow's residual graph; c = 1 comes from the
+    separator is read off that flow's last search; c = 1 comes from the
     lowpoint scan, whose cut vertex is the separator."""
     net = _SplitFlow(g)
     c = _ladder(g, k, True, net)[0]

@@ -145,7 +145,10 @@ def _pairs_below(n: int, p: float, rng: np.random.Generator):
 # chunks, but 35 ms at n = 5,000) and packs n rows of n bits, for
 # preferential attachment, which keeps a Fenwick tree of n degrees and n
 # adjacency rows, and for geometric placements, whose distance graph tests
-# all n(n-1)/2 pairs in a Python loop (9 s at n = 5,000).
+# all n(n-1)/2 pairs in a Python loop (9 s at n = 5,000). A placement may
+# hold at most the coordinates of GEOM_NODE_LIMIT points in three
+# dimensions, which also bounds the loop's coordinate reads at three times
+# those of the 1-D node limit.
 ER_NODE_LIMIT = 5000
 PA_NODE_LIMIT = 5000
 GEOM_NODE_LIMIT = 5000
@@ -166,10 +169,15 @@ def _pa_guard(n: int) -> None:
         )
 
 
-def _geom_guard(n: int) -> None:
+def _geom_guard(n: int, dimension: int) -> None:
     if n > GEOM_NODE_LIMIT:
         raise ResourceGuardError(
             f"geometric placement: n={n} exceeds the guard GEOM_NODE_LIMIT = {GEOM_NODE_LIMIT}"
+        )
+    if n * dimension > 3 * GEOM_NODE_LIMIT:
+        raise ResourceGuardError(
+            f"geometric placement: n={n} nodes at dimension={dimension} hold {n * dimension} "
+            f"coordinates, over the guard 3 * GEOM_NODE_LIMIT = {3 * GEOM_NODE_LIMIT}"
         )
 
 
@@ -272,7 +280,7 @@ def gen_geometric(n: int, radius: float, side_length: float, dimension: int, see
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _geom_guard(n)
+    _geom_guard(n, dimension)
     coords = rng_for(seed).random((n, dimension)) * side_length
     if dimension == 1:
         order = np.argsort(coords[:, 0], kind="stable")

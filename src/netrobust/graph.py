@@ -113,17 +113,6 @@ def _component(g: Graph, v: int, within: int = -1) -> int:
     return visited
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if not seen >> v & 1:
-            out.append(_component(g, v))
-            seen |= out[-1]
-    return out
-
-
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _component(g, 0) == g.full_mask()
 

@@ -457,6 +457,9 @@ def test_geom_size_guard_refuses_before_drawing(tmp_path, capsys):
     for n in (GEOM_NODE_LIMIT + 1, 10**6):
         assert main(["gen", "geom", "--n", str(n), "--radius", "0.1", "--out", str(out)]) == 2
         assert f"n={n} exceeds the guard GEOM_NODE_LIMIT = 5000" in capsys.readouterr().err
+    # n x dimension coordinates: 74.5 GiB here, had the guard not refused
+    assert main(["gen", "geom", "--n", "10", "--radius", "0.1", "--dim", "1000000000", "--out", str(out)]) == 2
+    assert "n=10 nodes at dimension=1000000000 hold 10000000000 coordinates, over the guard" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -690,6 +693,7 @@ _INT_ARG = st.integers(-3, 40).map(str) | st.sampled_from(["1.5", "x", "", str(2
     }),
 )
 @example("ba", {"--n": str(2**64), "--r": "1"})  # refused by the node guard
+@example("geom", {"--n": "10", "--radius": "0.1", "--dim": "1000000000"})  # refused by the coordinate guard
 def test_fuzzed_gen_exits_cleanly(family, options):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["gen", family, "--out", str(Path(tmp, "g.out")), "--positions-out", str(Path(tmp, "pos.csv"))]

@@ -244,7 +244,6 @@ def test_split_flow_reused_across_pairs_matches_a_fresh_network():
         for u, v in pairs[:150]:
             limit = rng.randint(1, 4)
             assert net.max_flow(u, v, limit) == _SplitFlow(g).max_flow(u, v, limit), (n, u, v, limit)
-            assert net.res == g.adj  # every residual row is back at rest
 
 
 def brute_local_connectivity(g: Graph, u: int, v: int) -> int:
@@ -267,9 +266,10 @@ def brute_local_connectivity(g: Graph, u: int, v: int) -> int:
 
 # Trees plus chords where some augmenting path has to walk back along an
 # earlier path, cancelling its flow: found by random search against an arc
-# by arc max-flow. Without the out_v -> in_v residual arc the first graph's
-# flow from 3 to 8 comes out one short; without giving a cancelled edge
-# back to res, so does the second graph's flow from 3 to 4.
+# by arc max-flow. Without the out_v -> in_v arc (frontier & busy) the first
+# graph's flow from 3 to 8 comes out one short; writing an augmentation's
+# new flow edges before taking off the ones it cancels ends the second
+# graph's flow from 3 to 4 in a KeyError.
 BACKTRACK_GRAPHS = [
     (9, [(0, 1), (0, 2), (1, 6), (1, 8), (2, 3), (2, 4), (3, 7), (4, 5), (5, 8), (6, 7)]),
     (10, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 7), (1, 3), (1, 8), (2, 4), (2, 5), (2, 7),
@@ -291,13 +291,17 @@ def sparse_graphs(rng, count):
 def test_split_flow_on_sparse_graphs_matches_menger():
     assert _SplitFlow(Graph(*BACKTRACK_GRAPHS[0])).max_flow(3, 8, 9) == 2
     assert _SplitFlow(Graph(*BACKTRACK_GRAPHS[1])).max_flow(3, 4, 10) == 3
-    for n, edges in BACKTRACK_GRAPHS + list(sparse_graphs(random.Random(5), 150)):
+    for n, edges in BACKTRACK_GRAPHS + [CANCEL_SEED_GRAPH] + list(sparse_graphs(random.Random(5), 150)):
         g = Graph(n, edges)
         net = _SplitFlow(g)
         for u in range(n):
             for v in range(n):
                 if u != v and not g.has_edge(u, v):
-                    assert net.max_flow(u, v, n) == brute_local_connectivity(g, u, v), (edges, u, v)
+                    flow = net.max_flow(u, v, n)
+                    assert flow == brute_local_connectivity(g, u, v), (edges, u, v)
+                    sep = net.separator()
+                    assert sep.bit_count() == flow and not (sep >> u | sep >> v) & 1, (edges, u, v)
+                    assert not cut_off(g, sep, u) >> v & 1, (edges, u, v)
 
 
 def scipy_split_graph(g: Graph):
@@ -751,7 +755,6 @@ def test_bfs_cancels_a_seeded_path_that_no_maximum_flow_uses():
     net = _SplitFlow(g)
     assert net.max_flow(3, 4, g.n) == 2
     assert (net.seeded, net.augmented) == (1, 1)
-    assert net.res == g.adj
 
 
 def test_warm_start_lays_disjoint_paths_up_to_the_limit():
@@ -778,7 +781,6 @@ def test_warm_start_lays_disjoint_paths_up_to_the_limit():
                         flow = net.max_flow(u, v, limit)
                         assert net.seeded - before == min(len(paths), limit)
                         assert flow == min(limit, menger), (g.edges(), u, v, limit)
-                        assert net.res == g.adj
                         laid.add(max((len(path_) for path_ in paths[:limit]), default=0))
                         if flow == limit and net.augmented == augmented:
                             settled += 1

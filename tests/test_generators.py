@@ -406,6 +406,23 @@ def test_geometric_node_guard_is_inclusive_and_raised_before_drawing(monkeypatch
     assert GEOM_NODE_LIMIT == 5000
 
 
+def test_geometric_coordinate_guard_bounds_n_times_dimension(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("positions were drawn")
+
+    monkeypatch.setattr(generators, "rng_for", no_draws)
+    wide = 3 * GEOM_NODE_LIMIT // 2  # the most dimensions two nodes may have
+    for n, dimension in [(1, 10**9), (10, 10**9), (GEOM_NODE_LIMIT, 4), (2, wide + 1)]:
+        message = f"n={n} nodes at dimension={dimension} hold {n * dimension} coordinates, over"
+        with pytest.raises(ResourceGuardError, match=message):
+            gen_geometric(n, 0.1, 1.0, dimension, 0)
+    monkeypatch.undo()
+    # the node limit in one to three dimensions, and few nodes in many
+    for n, dimension in [(GEOM_NODE_LIMIT, 1), (GEOM_NODE_LIMIT, 2), (GEOM_NODE_LIMIT, 3), (2, wide)]:
+        generators._geom_guard(n, dimension)
+    assert gen_geometric(2, 100.0, 1.0, wide, RngSeed(0))[0].edge_count() == 1
+
+
 def test_graph_from_placement_by_hand():
     pl = GeometricPlacement(((0.0,), (1.0,), (2.5,)), 3.0, 1.2, 1)
     g = graph_from_placement(pl)

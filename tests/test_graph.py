@@ -6,7 +6,6 @@ from netrobust.graph import (
     Graph,
     _spread,
     complete,
-    component_masks,
     counterexample,
     cycle,
     is_connected,
@@ -56,8 +55,6 @@ def test_neighbors_iterates_sorted():
 
 def test_components_and_connectivity_flag():
     g = Graph(5, [(0, 1), (2, 3)])
-    comps = [set_of(m) for m in component_masks(g)]
-    assert comps == [{0, 1}, {2, 3}, {4}]
     assert not is_connected(g)
     assert is_connected(path(4))
     assert is_connected(Graph(1))
