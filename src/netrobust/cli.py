@@ -47,6 +47,8 @@ def _seed(args, default=0) -> RngSeed:
 
 def _cmd_robustness(args) -> int:
     g = nio.read_graph(args.graphfile)
+    if g.n < 2:
+        raise ValueError(f"{args.graphfile}: robustness needs at least 2 nodes")
     if args.r is not None:
         verdict = is_r_robust(g, args.r, node_limit=args.node_limit)
         print(f"{args.r}-robust: {'true' if verdict else 'false'}")
@@ -57,6 +59,8 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_cut(args) -> int:
     g = nio.read_graph(args.graphfile)
+    if g.n < 2:
+        raise ValueError(f"{args.graphfile}: cut search needs at least 2 nodes")
     search = find_relaxed_degree_cut if args.relaxed else find_degree_cut
     cut = search(g, args.rho, node_limit=args.node_limit)
     if cut is None:
@@ -245,7 +249,3 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -210,8 +210,8 @@ def _kappa_upto_two(g: Graph) -> int:
 
 
 def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tuple[int, str]:
-    """The one decision path of both public functions, for k <= min degree
-    (k = 0 only on a disconnected graph).
+    """The one decision path of both public functions, for 0 <= k <= n - 1,
+    and with exact also k <= min degree (k = 0 only on a disconnected graph).
 
     Returns (c, how). With exact, c = min(kappa, k); without, c >= k iff
     kappa >= k, and the flows stop at the first terminal pair that falls
@@ -222,8 +222,8 @@ def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tup
       connected one meets k;
     - for k >= 2, the bit-row lowpoint scan gives min(kappa, 2), which
       settles c when it is below 2 or when k = 2 (with k = delta, every
-      graph with delta <= 2 is settled here);
-    - a complete graph has kappa = n - 1.
+      graph with delta <= 2 is settled here; no degree is counted);
+    - for k >= 3, delta < k settles c, and a complete graph has kappa = n - 1.
 
     Only then are the Esfahanian-Hakimi terminal pairs flowed, each up to
     best, the smallest flow so far; exact flows stop at the scan's bound 2.
@@ -241,10 +241,12 @@ def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tup
         return low, ("disconnected", "cut vertex")[low]
     if k == 2:
         return 2, "delta <= 2"
+    adj, s = g.adj, _least_degree(g.adj)
+    if adj[s].bit_count() < k:
+        return adj[s].bit_count(), "delta < k"
     if k == g.n - 1:
         return k, "complete"
     net = net or _SplitFlow(g)
-    adj, s = g.adj, _least_degree(g.adj)
     best, closed, linked = k, 0, adj[s] | 1 << s
 
     def pairs():  # reads best as the loop below lowers it
@@ -305,14 +307,14 @@ def vertex_connectivity(g: Graph) -> int:
 def connectivity_at_least(g: Graph, k: int) -> bool:
     """Exact decision vertex_connectivity(g) >= k.
 
-    k <= 0 holds and k above the min degree fails at once; otherwise _ladder
-    decides, with flows only when k >= 3 and no certificate settles it,
-    stopping at the first terminal pair with fewer than k paths.
+    k <= 0 holds and k >= n fails at once; otherwise _ladder decides, with
+    flows only when k >= 3 and no certificate settles it, stopping at the
+    first terminal pair with fewer than k paths.
     """
     if g.n < 2:
         raise ValueError("connectivity undefined")
     if k <= 0:
         return True
-    if k > min_degree(g):
+    if k >= g.n:
         return False
     return _ladder(g, k, exact=False)[0] >= k

@@ -41,10 +41,10 @@ class Graph:
     treated as immutable once built.
 
     There are two ways to build one. ``Graph(n, edges)`` is the checked path
-    for edges from files and users: it rejects out-of-range ends, self-loops
-    and duplicate edges one edge at a time. ``_from_rows(n, rows)`` is the
-    trusted path for the library's own generators, whose rows are symmetric
-    and loop-free by construction; it runs no per-edge checks.
+    for edges from users: it rejects out-of-range ends, self-loops and
+    duplicate edges one edge at a time. ``_from_rows(n, rows)`` is the
+    trusted path for the generators and for io.read_graph, whose rows are
+    symmetric and loop-free by construction or by its own per-line checks.
     """
 
     __slots__ = ("n", "adj")
@@ -94,9 +94,9 @@ class Graph:
 
 def _from_rows(n: int, rows: list) -> Graph:
     """The graph with these adjacency rows, which must be n symmetric,
-    loop-free bitmasks; nothing is checked."""
-    g = Graph(n)
-    g.adj = rows
+    loop-free bitmasks; nothing is checked, and no other row list is made."""
+    g = Graph.__new__(Graph)
+    g.n, g.adj = n, rows
     return g
 
 

@@ -14,7 +14,7 @@ from typing import get_type_hints
 from .dynamics import ConsensusConfig, Constant, Ramp, UniformRandom
 from .experiments import SweepRecord, SweepSpec
 from .generators import GeometricPlacement, RngSeed
-from .graph import Graph
+from .graph import Graph, _from_rows
 from .hardness import CnfFormula, GadgetGraph, Role
 
 # Largest node count read_graph accepts: the graph holds one row per node,
@@ -73,7 +73,8 @@ def write_graph(g: Graph, path, format: str = "edgelist") -> None:
 def read_graph(path) -> Graph:
     """Reads either graph format (sniffed from the first character).
 
-    Malformed content raises ValueError with a message naming the path."""
+    Malformed content raises ValueError with a message naming the path;
+    of several faults, the first in file order is reported."""
     with _reading(path, "graph") as fh:
         text = fh.read()
         if text.lstrip().startswith("{"):
@@ -87,36 +88,44 @@ def read_graph(path) -> Graph:
             ):
                 raise ValueError("'edges' must be a list of [u, v] pairs")
             pairs = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint")) for u, v in edges]
+            # Spelled as an edge list, the pairs take the one checked pass below.
+            lines = [f"{n} {len(pairs)}", *(f"{u} {v}" for u, v in pairs)]
         else:
             lines = [ln for ln in text.splitlines() if ln.strip()]
-            if not lines:
-                raise ValueError("empty graph file")
-            head = lines[0].split()
-            if len(head) != 2:
-                raise ValueError("header must be 'n <edge count>'")
-            try:
-                n, count = int(head[0]), int(head[1])
-            except ValueError:
-                raise ValueError(f"header {lines[0]!r} needs two integers") from None
-            if count != len(lines) - 1:
-                raise ValueError(
-                    f"header promises {count} edges, file has {len(lines) - 1}"
-                )
-            pairs = []
-            for ln in lines[1:]:
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise ValueError(f"malformed edge line {ln!r}")
-                try:
-                    pairs.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise ValueError(f"edge line {ln!r} needs two integers") from None
+        if not lines:
+            raise ValueError("empty graph file")
+        head = lines[0].split()
+        if len(head) != 2:
+            raise ValueError("header must be 'n <edge count>'")
+        try:
+            n, count = int(head[0]), int(head[1])
+        except ValueError:
+            raise ValueError(f"header {lines[0]!r} needs two integers") from None
+        if count != len(lines) - 1:
+            raise ValueError(f"header promises {count} edges, file has {len(lines) - 1}")
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
         if n > GRAPH_NODE_LIMIT:
             raise ValueError(f"{n} nodes exceed the guard GRAPH_NODE_LIMIT = {GRAPH_NODE_LIMIT}")
-        for u, v in pairs:
-            if not u < v:
-                raise ValueError(f"edge ({u}, {v}) not in canonical u < v order")
-        return Graph(n, pairs)
+        rows = [0] * n
+        for ln in lines[1:]:
+            try:
+                a, b = ln.split()
+            except ValueError:
+                raise ValueError(f"malformed edge line {ln!r}") from None
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                raise ValueError(f"edge line {ln!r} needs two integers") from None
+            if not 0 <= u < v < n or rows[u] >> v & 1:
+                if not u < v:
+                    raise ValueError(f"edge ({u}, {v}) not in canonical u < v order")
+                if u < 0 or v >= n:
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise ValueError(f"duplicate edge ({u},{v})")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return _from_rows(n, rows)
 
 
 def write_positions(pl: GeometricPlacement, path) -> None:

@@ -166,6 +166,23 @@ def test_large_edgeless_graph_under_the_guard_is_decided(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, what",
+    [
+        (["robustness"], "robustness"),
+        (["robustness", "--r", "2"], "robustness"),
+        (["cut", "--rho", "1"], "cut search"),
+        (["cut", "--rho", "1", "--relaxed"], "cut search"),
+    ],
+)
+@pytest.mark.parametrize("name, text", [("empty.edges", "0 0\n"), ("one.edges", "1 0\n"), ("one.json", '{"n": 1, "edges": []}')])
+def test_graph_of_fewer_than_two_nodes_names_the_file(tmp_path, capsys, args, what, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main([args[0], str(p), *args[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {p}: {what} needs at least 2 nodes\n"
+
+
+@pytest.mark.parametrize(
     "tag, spec",
     [
         ("er", {"family": "erdos_renyi", "n": 8, "offsets": [[1, 2]]}),

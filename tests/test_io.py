@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import netrobust
 from netrobust.dynamics import Constant, ConsensusConfig, Ramp, UniformRandom, run_consensus
@@ -15,6 +16,7 @@ from netrobust.graph import Graph, complete, counterexample, path as path_graph
 from netrobust.hardness import CnfFormula, build_g_phi
 from netrobust.io import (
     GRAPH_NODE_LIMIT,
+    _reading,
     read_consensus_config,
     read_formula,
     read_graph,
@@ -69,12 +71,18 @@ def test_read_graph_rejections(tmp_path):
         "range.txt": ("3 1\n0 5\n", "out of range"),
         "dup.txt": ("3 2\n0 1\n0 1\n", "duplicate"),
         "line.txt": ("3 1\n0 1 2\n", "malformed edge line"),
+        "negative.txt": ("-1 0\n", "node count must be nonnegative"),
+        "below.txt": ("3 1\n-1 2\n", "out of range"),
+        "loop.txt": ("3 1\n1 1\n", "canonical u < v order"),
     }
     for name, (text, message) in cases.items():
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_graph(p)
+    p = tmp_path / "spaced.txt"
+    p.write_bytes(b"4 2\n\n0 1\r\n \n2\t3\n")
+    assert read_graph(p) == Graph(4, [(0, 1), (2, 3)])
 
 
 def test_read_json_graph_rejections(tmp_path):
@@ -128,6 +136,20 @@ def test_read_graph_refuses_a_huge_node_count_before_building(tmp_path):
     assert peak < 1 << 20
 
 
+def test_read_graph_allocates_its_rows_once(tmp_path):
+    # n rows of 8-byte pointers: a second list of n zeros would double the peak
+    n = 200_000
+    p = tmp_path / "wide.edges"
+    p.write_text(f"{n} 0\n")
+    tracemalloc.start()
+    try:
+        g = read_graph(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and peak < 1.5 * 8 * n
+
+
 def test_read_graph_node_limit_is_inclusive(tmp_path, monkeypatch):
     monkeypatch.setattr(importlib.import_module("netrobust.io"), "GRAPH_NODE_LIMIT", 5)
     p = tmp_path / "g.edges"
@@ -143,6 +165,162 @@ def test_error_messages_name_the_file(tmp_path):
     p.write_text("2 1\n1 0\n")
     with pytest.raises(ValueError, match="weird.edges"):
         read_graph(p)
+
+
+def reference_read_edgelist(path) -> Graph:
+    """The three-pass edge-list reader that read_graph's one pass replaced:
+    the lines are parsed to pairs, the pairs checked for u < v order, and
+    Graph(n, pairs) checks the node count and every edge again."""
+    with _reading(path, "graph") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty graph file")
+        head = lines[0].split()
+        if len(head) != 2:
+            raise ValueError("header must be 'n <edge count>'")
+        try:
+            n, count = int(head[0]), int(head[1])
+        except ValueError:
+            raise ValueError(f"header {lines[0]!r} needs two integers") from None
+        if count != len(lines) - 1:
+            raise ValueError(f"header promises {count} edges, file has {len(lines) - 1}")
+        pairs = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line {ln!r}")
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"edge line {ln!r} needs two integers") from None
+        if n > GRAPH_NODE_LIMIT:
+            raise ValueError(f"{n} nodes exceed the guard GRAPH_NODE_LIMIT = {GRAPH_NODE_LIMIT}")
+        for u, v in pairs:
+            if not u < v:
+                raise ValueError(f"edge ({u}, {v}) not in canonical u < v order")
+        return Graph(n, pairs)
+
+
+# Each fault puts one refusable flaw into a valid file. The header's edge
+# count is the number of edge lines unless wrong_count is drawn.
+EDGE_LIST_FAULTS = (
+    "reversed", "self_loop", "negative_id", "out_of_range", "duplicate", "one_token",
+    "three_tokens", "junk_token", "wrong_count", "negative_n", "huge_n", "junk_header",
+)
+# Decimal digits of other scripts, which int() reads as it reads ASCII ones.
+DIGIT_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+JUNK_TOKENS = ("x", "1.5", "0x1", "1e3", "--1", "1_", "\u2167", "\u00bd")
+
+
+@st.composite
+def edge_list_files(draw):
+    """(file bytes, faults put in): a valid graph on at most 8 nodes with
+    some faults, spelled with blank and whitespace-only lines, LF, CRLF or
+    CR endings, tabs and other whitespace around tokens, and integers with
+    leading zeros, a plus sign or another script's digits."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    lines = [list(e) for e in edges]
+    head, count_offset, faults = [n, None], 0, []
+    small = st.integers(0, 9)
+    for fault in draw(st.lists(st.sampled_from(EDGE_LIST_FAULTS), max_size=3)):
+        line = None
+        if fault == "reversed":
+            v = draw(small)
+            line = [v + draw(st.integers(1, 3)), v]
+        elif fault == "self_loop":
+            line = [draw(small)] * 2
+        elif fault == "negative_id":
+            line = [-draw(st.integers(1, 3)), draw(st.integers(0, max(n - 1, 0)))]
+        elif fault == "out_of_range":
+            v = n + draw(st.integers(0, 3))
+            line = [draw(st.integers(0, v - 1)) if v else -1, v]
+        elif fault == "duplicate":
+            if n < 2:
+                continue
+            if not edges:  # a first edge to repeat
+                edges = [(0, 1)]
+                lines.insert(draw(st.integers(0, len(lines))), [0, 1])
+            line = list(draw(st.sampled_from(edges)))
+        elif fault == "one_token":
+            line = [draw(small)]
+        elif fault == "three_tokens":
+            line = [draw(small), draw(small), draw(small)]
+        elif fault == "junk_token":
+            line = [draw(small), draw(st.sampled_from(JUNK_TOKENS))][:: draw(st.sampled_from((1, -1)))]
+        elif fault == "wrong_count":
+            count_offset = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        elif fault == "negative_n":
+            head[0] = -draw(st.integers(1, 5))
+        elif fault == "huge_n":
+            head[0] = GRAPH_NODE_LIMIT + draw(st.integers(1, 10**12))
+        else:
+            head = draw(st.sampled_from(([head[0]], [head[0], None, 0], ["n", None], [head[0], "m"])))
+        if line is not None:
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        faults.append(fault)
+    head = [len(lines) + count_offset if t is None else t for t in head]
+
+    def spelled(token):
+        if not isinstance(token, int):
+            return token
+        digits = draw(st.sampled_from(DIGIT_SCRIPTS))
+        text = "0" * draw(st.integers(0, 2)) + "".join(digits[int(d)] for d in str(abs(token)))
+        return ("-" if token < 0 else draw(st.sampled_from(("", "", "+")))) + text
+
+    space = st.sampled_from(("", "", " ", "\t", "\u00a0"))
+    gap = st.sampled_from((" ", " ", "\t", "  ", " \t ", "\u00a0"))
+    out = []
+    for tokens in [head] + lines:
+        out += draw(st.lists(space, max_size=1))  # a blank or whitespace-only line
+        out.append(draw(space) + draw(gap).join(spelled(t) for t in tokens) + draw(space))
+    out += draw(st.lists(space, max_size=2))
+    endings = st.sampled_from(("\n", "\n", "\r\n", "\r"))
+    text = "".join(line + draw(endings) for line in out)
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")).encode(), faults
+
+
+def _read_or_refuse(reader, path):
+    try:
+        return reader(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+ONE_FAULT_FILES = [
+    ("3 1\n2 1\n", "reversed"), ("3 1\n1 1\n", "self_loop"), ("3 1\n-1 2\n", "negative_id"),
+    ("3 1\n0 5\n", "out_of_range"), ("3 2\n0 1\n0 1\n", "duplicate"), ("3 1\n0\n", "one_token"),
+    ("3 1\n0 1 2\n", "three_tokens"), ("3 1\n0 x\n", "junk_token"), ("3 2\n0 1\n", "wrong_count"),
+    ("-1 1\n0 1\n", "negative_n"), (f"{GRAPH_NODE_LIMIT + 1} 1\n0 1\n", "huge_n"), ("three 0\n", "junk_header"),
+]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_list_files())
+def test_one_pass_reader_matches_the_reference_reader(tmp_path, drawn):
+    data, faults = drawn
+    p = tmp_path / "g.edges"
+    p.write_bytes(data)
+    want, want_error = _read_or_refuse(reference_read_edgelist, p)
+    got, error = _read_or_refuse(read_graph, p)
+    assert (want_error is None) == (not faults)  # every fault drawn is refused
+    if want_error is None:
+        assert error is None and got == want
+    else:
+        # With several faults the one-pass reader reports the first in file order.
+        assert error is not None and error.startswith(f"{p}: ")
+        if len(faults) == 1:
+            assert error == want_error
+
+
+@pytest.mark.parametrize("text, fault", ONE_FAULT_FILES)
+def test_one_fault_is_reported_as_the_reference_reader_reports_it(tmp_path, text, fault):
+    p = tmp_path / f"{fault}.edges"
+    p.write_text(text)
+    want, want_error = _read_or_refuse(reference_read_edgelist, p)
+    assert want is None and _read_or_refuse(read_graph, p) == (None, want_error)
 
 
 # --- positions -------------------------------------------------------------

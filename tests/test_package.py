@@ -36,6 +36,13 @@ def test_star_import_exports_exactly_the_pinned_names():
     assert all(namespace[name] is getattr(netrobust, name) for name in STAR_EXPORTS)
 
 
+def _python(*args):
+    """A fresh interpreter on args, importing netrobust from this checkout."""
+    src = str(Path(netrobust.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_importing_the_package_starts_no_thread():
     # the G(n, p) draw's helper thread starts on the first split draw, not before
     script = (
@@ -43,8 +50,12 @@ def test_importing_the_package_starts_no_thread():
         "import netrobust, netrobust.cli\n"
         "print([t.name for t in threading.enumerate()])\n"
     )
-    src = str(Path(netrobust.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "['MainThread']"
+
+
+def test_the_package_runs_as_a_module():
+    done = _python("-m", "netrobust", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: netrobust ")
