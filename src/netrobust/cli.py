@@ -178,13 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     node_limit_help = "refuse a cut search on more nodes (exit 2); answers that need none come at any size"
 
-    p = sub.add_parser("robustness", parents=[seeded], help="exact robustness of a graph file")
+    p = sub.add_parser("robustness", help="exact robustness of a graph file")
     p.add_argument("graphfile")
     p.add_argument("--r", type=int, default=None, help="decide r-robustness instead of computing the maximum")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, help=node_limit_help)
     p.set_defaults(func=_cmd_robustness)
 
-    p = sub.add_parser("cut", parents=[seeded], help="search for a rho-degree cut")
+    p = sub.add_parser("cut", help="search for a rho-degree cut")
     p.add_argument("graphfile")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--relaxed", action="store_true", help="force X empty (full bipartition)")
@@ -218,14 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_consensus)
 
-    p = sub.add_parser("cascade", parents=[seeded], help="run threshold contagion, trace to CSV")
+    # no prefix matching, which would read --seed as --seed-set
+    p = sub.add_parser("cascade", allow_abbrev=False, help="run threshold contagion, trace to CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--seed-set", required=True, dest="seed_set")
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_cascade)
 
-    p = sub.add_parser("gadget", parents=[seeded], help="build a reduction graph from a formula file")
+    p = sub.add_parser("gadget", help="build a reduction graph from a formula file")
     p.add_argument("--formula", required=True)
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--build", choices=("g", "h", "grho", "hrho"), default="g")

@@ -31,8 +31,11 @@ class _SplitFlow:
     Built once per graph and reused for every terminal pair: each max_flow
     call starts from zero flow. calls, seeded and augmented count the
     max_flow calls, the paths laid by their warm starts and their BFS
-    augmentations. reached keeps the separator of the last search that fell
-    short of its limit.
+    augmentations. reached, a minimum s-t separator of the last call that
+    fell short of its limit, holds the nodes whose in-state its last search
+    reached but not their out-state: every arc leaving the reached states is
+    saturated, one per path (max-flow min-cut), and as every neighbour of s
+    is reached, each is a node arc in_v -> out_v.
     """
 
     def __init__(self, g: Graph):
@@ -149,14 +152,6 @@ class _SplitFlow:
             self.augmented += 1
         return flow
 
-    def separator(self) -> int:
-        """A minimum s-t separator, as a bitmask, for the last max_flow call
-        that fell short of its limit: the nodes whose in-state its last
-        search reached but not their out-state. Every arc leaving the reached
-        states is saturated, one per path (max-flow min-cut), and as every
-        neighbour of s is reached, each is a node arc in_v -> out_v."""
-        return self.reached
-
 
 def _articulation(g: Graph) -> tuple[int, int]:
     """(c, unvisited) from one depth-first lowpoint scan from node 0 on the
@@ -198,32 +193,27 @@ def _articulation(g: Graph) -> tuple[int, int]:
     return -1, unvisited
 
 
-def _kappa_upto_two(g: Graph) -> int:
-    """min(kappa, 2) for n >= 3, from the lowpoint scan (_articulation). With
-    no cut vertex the scan has visited all of node 0's component, so a node
-    left unvisited means kappa = 0; a cut vertex costs one BFS to tell
-    kappa = 0 from kappa = 1."""
-    cut, unvisited = _articulation(g)
-    if cut >= 0:
-        return int(is_connected(g))
-    return 0 if unvisited else 2
+def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, int, str]:
+    """The one decision path of connectivity, for 0 <= k <= n - 1, and with
+    exact also k <= min degree (k = 0 only on a disconnected graph).
 
-
-def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tuple[int, str]:
-    """The one decision path of both public functions, for 0 <= k <= n - 1,
-    and with exact also k <= min degree (k = 0 only on a disconnected graph).
-
-    Returns (c, how). With exact, c = min(kappa, k); without, c >= k iff
-    kappa >= k, and the flows stop at the first terminal pair that falls
-    short of k. how names what settled c: a certificate, or the flow work.
+    Returns (c, sep, how). With exact, c = min(kappa, k); without, c >= k
+    iff kappa >= k, and the flows stop at the first terminal pair that falls
+    short of k. Whenever 1 <= c < k on a connected g, sep is a bitmask of c
+    nodes whose removal disconnects g, else 0; with exact it is a minimum
+    separator. how names what settled c: a certificate, or the flow work.
     The cheap certificates come first:
 
     - for k <= 1, one BFS: a disconnected graph has kappa = 0, and a
       connected one meets k;
     - for k >= 2, the bit-row lowpoint scan gives min(kappa, 2), which
       settles c when it is below 2 or when k = 2 (with k = delta, every
-      graph with delta <= 2 is settled here; no degree is counted);
-    - for k >= 3, delta < k settles c, and a complete graph has kappa = n - 1.
+      graph with delta <= 2 is settled here; no degree is counted). With no
+      cut vertex the scan has visited all of node 0's component, so a node
+      left unvisited means kappa = 0; a cut vertex, the separator of c = 1,
+      costs one BFS to tell kappa = 0 from kappa = 1;
+    - for k >= 3, delta < k settles c, with the neighbours of a least-degree
+      node as its separator, and a complete graph has kappa = n - 1.
 
     Only then are the Esfahanian-Hakimi terminal pairs flowed, each up to
     best, the smallest flow so far; exact flows stop at the scan's bound 2.
@@ -231,22 +221,25 @@ def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tup
     A non-neighbour of s with best linked neighbours is linked too, as such
     a set misses one of them: this contagion spares most of the s-t flows.
     It keeps its counts of linked neighbours from one terminal to the next
-    and recounts them only when a short flow lowers best. The flows run on
-    net if one is given, so that the caller can read a separator off it.
+    and recounts them only when a short flow lowers best. A flow below k
+    lowers best only when it is the least so far, so the last short flow is
+    the minimum pair's, and sep is read off that flow's last search.
     """
     if k <= 1:
-        return (1, "delta <= 2") if is_connected(g) else (0, "disconnected")
-    low = _kappa_upto_two(g)
-    if low < 2:
-        return low, ("disconnected", "cut vertex")[low]
+        return (1, 0, "delta <= 2") if is_connected(g) else (0, 0, "disconnected")
+    cut, unvisited = _articulation(g)
+    if cut >= 0 and is_connected(g):
+        return 1, 1 << cut, "cut vertex"
+    if cut >= 0 or unvisited:
+        return 0, 0, "disconnected"
     if k == 2:
-        return 2, "delta <= 2"
+        return 2, 0, "delta <= 2"
     adj, s = g.adj, _least_degree(g.adj)
     if adj[s].bit_count() < k:
-        return adj[s].bit_count(), "delta < k"
+        return adj[s].bit_count(), adj[s], "delta < k"
     if k == g.n - 1:
-        return k, "complete"
-    net = net or _SplitFlow(g)
+        return k, 0, "complete"
+    net = _SplitFlow(g)
     best, closed, linked = k, 0, adj[s] | 1 << s
 
     def pairs():  # reads best as the loop below lowers it
@@ -273,21 +266,8 @@ def _ladder(g: Graph, k: int, exact: bool, net: _SplitFlow | None = None) -> tup
             best = flow
             if not exact or best == 2:
                 break
-    return best, f"flowed pairs={net.calls}, closed={closed}, seeded={net.seeded}, augmented={net.augmented}"
-
-
-def _separator(g: Graph, k: int) -> tuple[int, int]:
-    """(c, sep) for a connected g and 2 <= k <= min degree: c = min(kappa, k)
-    by the exact ladder and, when c < k, sep a bitmask of c nodes whose
-    removal disconnects g (else 0). A flow below k lowers c only when it is
-    the least so far, so the last short flow is the minimum pair's, and its
-    separator is read off that flow's last search; c = 1 comes from the
-    lowpoint scan, whose cut vertex is the separator."""
-    net = _SplitFlow(g)
-    c = _ladder(g, k, True, net)[0]
-    if c == k:
-        return c, 0
-    return c, net.separator() if net.calls else 1 << _articulation(g)[0]
+    sep = net.reached if best < k else 0
+    return best, sep, f"flowed pairs={net.calls}, closed={closed}, seeded={net.seeded}, augmented={net.augmented}"
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -299,7 +279,7 @@ def vertex_connectivity(g: Graph) -> int:
     """
     if g.n < 2:
         raise ValueError("connectivity undefined")
-    kappa, how = _ladder(g, min_degree(g), exact=True)
+    kappa, _, how = _ladder(g, min_degree(g), exact=True)
     _log.debug("connectivity %d: %s", kappa, how)
     return kappa
 

@@ -239,10 +239,10 @@ class GeometricPlacement:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN included
             raise ValueError("radius must be positive")
-        if self.side_length <= 0:
-            raise ValueError("side_length must be positive")
+        if not 0 < self.side_length < math.inf:
+            raise ValueError("side_length must be positive and finite")
         for pt in self.positions:
             if len(pt) != self.dimension:
                 raise ValueError("coordinate dimension mismatch")

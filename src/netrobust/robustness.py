@@ -11,9 +11,10 @@ node limit, checked as each cut search starts (bounds need no search).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
-from .connectivity import _articulation, _separator
+from .connectivity import _articulation, _ladder
 from .errors import ResourceGuardError
 from .graph import (_LEVELS_UPTO, Graph, _component, _least_degree, _node_mask, _spread, is_connected, iter_bits,
                     min_degree, set_of)
@@ -24,9 +25,13 @@ DEFAULT_NODE_LIMIT = 25
 # Hard guard for the literal pair-enumeration oracle (3^n pairs).
 ORACLE_NODE_LIMIT = 12
 
-# Guard for subset reachability, whose walk visits up to C(n + 1, n - cap)
-# seed-set prefixes: those of every (n - cap)-node seed set, empty one included.
+# Guards for subset reachability: n bounds the walk's recursion depth, and
+# SUBSET_PREFIX_LIMIT the C(n + 1, n - cap) seed-set prefixes it may visit
+# (those of every (n - cap)-node seed set, empty one included). A prefix took
+# 2-5 us on K_n with r = cap = n/2, n = 16-21 (Python 3.11, 2-core x86), so
+# an admitted walk takes seconds at most.
 SUBSET_ENUM_LIMIT = 26
+SUBSET_PREFIX_LIMIT = 10**6
 
 # Most entries the per-search memo of _core results holds before it is cleared.
 _CORE_MEMO_SIZE = 4096
@@ -477,7 +482,7 @@ def _decide(g: Graph, lb: int, ub: int, node_limit) -> tuple[int, str]:
                 return lb, how()
             lb += 1
     ceiling = ()
-    kappa, sep = _separator(g, ub)
+    kappa, sep, _ = _ladder(g, ub, True)
     if kappa < ub:
         _separator_cut(g, sep, kappa)
         ub, ceiling = max(kappa, lb), (f"kappa={kappa}",)
@@ -499,6 +504,11 @@ def _subset_guard(n: int, cap: int) -> None:
     if n > SUBSET_ENUM_LIMIT:
         raise ResourceGuardError(
             f"subset enumeration on {n} nodes exceeds the guard {SUBSET_ENUM_LIMIT}"
+        )
+    prefixes = math.comb(n + 1, n - cap)
+    if prefixes > SUBSET_PREFIX_LIMIT:
+        raise ResourceGuardError(
+            f"subset enumeration of up to {prefixes} seed-set prefixes exceeds the guard {SUBSET_PREFIX_LIMIT}"
         )
 
 

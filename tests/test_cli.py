@@ -95,6 +95,17 @@ def test_gen_geom_with_positions(tmp_path):
             assert g.has_edge(u, v) == (abs(xs[u][0] - xs[v][0]) <= 0.2)
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--radius", "nan"], "radius must be positive"),
+    (["--radius", "0.2", "--side", "inf"], "side_length must be positive and finite"),
+])
+def test_gen_geom_refuses_non_finite_parameters(tmp_path, capsys, option, message):
+    out, pos = tmp_path / "g.edges", tmp_path / "g.pos"
+    assert main(["gen", "geom", "--n", "5", *option, "--out", str(out), "--positions-out", str(pos)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not pos.exists()
+
+
 def test_gen_ba_json(tmp_path):
     out = tmp_path / "g.json"
     assert main(["gen", "ba", "--n", "12", "--r", "2", "--seed", "1",
@@ -498,6 +509,21 @@ def test_help_smoke(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "robustness" in capsys.readouterr().out
+
+
+def test_only_sampling_commands_take_a_seed(capsys, k8):
+    # the command line is refused before any file is read
+    argvs = [["robustness", k8], ["cut", k8, "--rho", "1"], ["gadget", "--formula", "phi.cnf"],
+             ["cascade", "--graph", k8, "--seed-set", k8, "--threshold", "1"]]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    for command in ("robustness", "cut", "gadget", "cascade", "gen", "sweep", "consensus"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--seed " in capsys.readouterr().out) == (command in ("gen", "sweep", "consensus")), command
 
 
 # --- fuzzing the dynamics commands ------------------------------------------------

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from netrobust import connectivity
 from netrobust.connectivity import (
     _articulation,
-    _kappa_upto_two,
-    _separator,
+    _ladder,
     _SplitFlow,
     connectivity_at_least,
     vertex_connectivity,
@@ -143,7 +142,7 @@ def cliques_joined_by_a_bridge(k: int) -> Graph:
 )
 def test_articulation_scan_on_fixed_shapes(g, cut_vertex):
     assert has_cut_vertex(g) == cut_vertex
-    assert _kappa_upto_two(g) == (1 if cut_vertex else 2)
+    assert _ladder(g, 2, True)[0] == (1 if cut_vertex else 2)
 
 
 def test_articulation_scan_matches_vertex_deletion():
@@ -161,7 +160,7 @@ def test_articulation_scan_matches_vertex_deletion():
             edges.add((min(u, v), max(u, v)))
         g = Graph(n, sorted(edges))
         verdicts.append(has_cut_vertex(g))
-        assert _kappa_upto_two(g) == (1 if verdicts[-1] else 2), (n, sorted(edges))
+        assert _ladder(g, 2, True)[0] == (1 if verdicts[-1] else 2), (n, sorted(edges))
     assert 100 < sum(verdicts) < 500
 
 
@@ -192,7 +191,7 @@ def test_scan_matches_vertex_deletion_also_on_disconnected_graphs():
                 edges.add((min(u, v), max(u, v)))
         g = Graph(n, sorted(edges))
         seen.append(brute_kappa_upto_two(g))
-        assert _kappa_upto_two(g) == seen[-1], (n, sorted(edges))
+        assert _ladder(g, 2, True)[0] == seen[-1], (n, sorted(edges))
     assert all(seen.count(kappa) > 100 for kappa in (0, 1, 2))
 
 
@@ -206,7 +205,7 @@ def test_scan_matches_vertex_deletion_also_on_disconnected_graphs():
 )
 def test_disconnected_graphs_of_min_degree_two(g, caplog):
     assert min_degree(g) >= 2 and not is_connected(g)
-    assert _kappa_upto_two(g) == 0
+    assert {_ladder(g, k, exact) for k in (1, 2) for exact in (True, False)} == {(0, 0, "disconnected")}
     caplog.set_level(logging.DEBUG, logger="netrobust.connectivity")
     assert vertex_connectivity(g) == 0
     assert [rec.getMessage() for rec in caplog.records] == ["connectivity 0: disconnected"]
@@ -299,7 +298,7 @@ def test_split_flow_on_sparse_graphs_matches_menger():
                 if u != v and not g.has_edge(u, v):
                     flow = net.max_flow(u, v, n)
                     assert flow == brute_local_connectivity(g, u, v), (edges, u, v)
-                    sep = net.separator()
+                    sep = net.reached
                     assert sep.bit_count() == flow and not (sep >> u | sep >> v) & 1, (edges, u, v)
                     assert not cut_off(g, sep, u) >> v & 1, (edges, u, v)
 
@@ -468,7 +467,7 @@ def test_flow_separator_has_one_node_per_path_and_separates():
         for u in range(g.n):
             for v in iter_bits(g.full_mask() & ~g.adj[u] >> u + 1 << u + 1):
                 flow = net.max_flow(u, v, g.n)  # always short of n: the last search fails
-                sep = net.separator()
+                sep = net.reached
                 assert sep.bit_count() == flow and not sep & (1 << u | 1 << v), (g.edges(), u, v)
                 assert not cut_off(g, sep, u) >> v & 1, (g.edges(), u, v)
                 pairs += 1
@@ -476,24 +475,29 @@ def test_flow_separator_has_one_node_per_path_and_separates():
 
 
 def test_separator_is_a_minimum_vertex_cut():
+    # exact for k <= delta and not exact up to delta + 1, as connectivity_at_least
+    # asks: whenever 1 <= c < k, sep is c nodes that disconnect g (a minimum
+    # separator when exact), else 0
     rng = random.Random(22)
-    seen = set()
+    branches, seen = set(), set()
     for _ in range(150):
         g = glued(rng, rng.randint(4, 9), rng.randint(4, 9), rng.randint(1, 4), rng.choice((0.5, 0.8, 0.95)))
-        if not is_connected(g) or min_degree(g) < 2:
+        if not is_connected(g):
             continue
-        kappa = brute_connectivity(g)
-        for k in range(2, min_degree(g) + 1):
-            c, sep = _separator(g, k)
-            assert c == min(kappa, k), (g.edges(), k)
-            if c == k:
-                assert sep == 0
-                continue
-            seen.add(c)
-            assert sep.bit_count() == c, (g.edges(), k)
-            rest = g.full_mask() & ~sep
-            assert cut_off(g, sep, (rest & -rest).bit_length() - 1) != rest, (g.edges(), k)
-    assert seen >= {1, 2, 3}
+        kappa, delta = brute_connectivity(g), min_degree(g)
+        for exact, top in ((True, delta), (False, min(delta + 1, g.n - 1))):
+            for k in range(1, top + 1):
+                c, sep, how = _ladder(g, k, exact)
+                assert c == min(kappa, k) if exact else (c >= k) == (kappa >= k), (g.edges(), k, exact)
+                if c == k:
+                    assert sep == 0
+                    continue
+                branches.add(how.split(" pairs")[0])
+                seen.add(c)
+                assert sep.bit_count() == c, (g.edges(), k, exact)
+                rest = g.full_mask() & ~sep
+                assert cut_off(g, sep, (rest & -rest).bit_length() - 1) != rest, (g.edges(), k, exact)
+    assert branches == {"cut vertex", "delta < k", "flowed"} and seen >= {1, 2, 3}
 
 
 def test_articulation_names_a_cut_vertex():
@@ -641,8 +645,8 @@ def test_best_drops_after_part_of_the_closure_ran(monkeypatch, caplog):
     assert flows == [(0, 7, 3, 3), (0, 8, 3, 3), (0, 7, 4, 3)]
 
 
-# (seed, k, exact, _ladder result) on glued graphs where a short flow lowers
-# best, some of them twice; the contagion recounts at each lower best.
+# (seed, k, exact, (c, how) of _ladder) on glued graphs where a short flow
+# lowers best, some of them twice; the contagion recounts at each lower best.
 LADDER_DROPS = [
     (0, 3, True, (2, "flowed pairs=1, closed=20, seeded=1, augmented=1")),
     (3, 4, True, (3, "flowed pairs=5, closed=40, seeded=14, augmented=1")),
@@ -666,7 +670,8 @@ def test_ladder_results_where_a_flow_lowers_best(seed, k, exact, expected):
     rng = random.Random(seed)
     g = glued(rng, rng.randint(12, 30), rng.randint(12, 30), rng.randint(2, 5), rng.choice((0.3, 0.45, 0.6)))
     assert is_connected(g) and k <= min_degree(g)
-    assert connectivity._ladder(g, k, exact) == expected
+    c, _, how = _ladder(g, k, exact)
+    assert (c, how) == expected
 
 
 def min_degree_node_in_every_minimum_cut() -> Graph:
@@ -804,12 +809,12 @@ def test_separator_stays_the_last_short_flows_across_settled_flows():
             augmented = net.augmented
             flow = net.max_flow(u, v, limit)
             if flow < limit:
-                last = (net.separator(), flow, u, v)
+                last = (net.reached, flow, u, v)
             elif last is not None and net.augmented == augmented:
                 settled += 1
             if last is not None:
                 sep, size, s, t = last
-                assert net.separator() == sep and sep.bit_count() == size, (g.edges(), s, t)
+                assert net.reached == sep and sep.bit_count() == size, (g.edges(), s, t)
                 assert not sep & (1 << s | 1 << t) and not cut_off(g, sep, s) >> t & 1, (g.edges(), s, t)
                 checked += 1
     assert settled >= 300 and checked >= 1000, (settled, checked)

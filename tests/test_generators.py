@@ -391,6 +391,17 @@ def test_placement_validation():
         GeometricPlacement(((0.0, 0.0),), 1.0, 0.5, 1)
     with pytest.raises(ValueError, match="outside the placement region"):
         GeometricPlacement(((2.0,),), 1.0, 0.5, 1)
+    for radius in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            GeometricPlacement(((0.0,),), 1.0, radius, 1)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            gen_geometric(5, radius, 1.0, 1, RngSeed(0))
+    for side in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="side_length must be positive and finite"):
+            GeometricPlacement(((0.0,),), side, 0.5, 1)
+        with pytest.raises(ValueError, match="side_length must be positive and finite"):
+            gen_geometric(5, 0.5, side, 1, RngSeed(0))
+    assert GeometricPlacement(((0.0,), (1.0,)), 1.0, float("inf"), 1).radius == float("inf")
 
 
 def test_geometric_node_guard_is_inclusive_and_raised_before_drawing(monkeypatch):

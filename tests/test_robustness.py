@@ -723,12 +723,31 @@ def test_separator_recount_refuses_a_broken_separator():
 def test_robustness_refuses_a_broken_ceiling(monkeypatch):
     module = importlib.import_module("netrobust.robustness")
     g = geometric(80, 3)  # kappa = 4 below its bounds [1, 13)
-    monkeypatch.setattr(module, "_separator", lambda g, k: (4, 0b1111))  # four nodes at the end of the line
+    monkeypatch.setattr(module, "_ladder", lambda g, k, exact: (4, 0b1111, "flowed"))  # four nodes at the end of the line
     with pytest.raises(AssertionError, match="connected"):
         robustness(g, node_limit=None)
-    monkeypatch.setattr(module, "_separator", lambda g, k: (3, 0b1111))
+    monkeypatch.setattr(module, "_ladder", lambda g, k, exact: (3, 0b1111, "flowed"))
     with pytest.raises(AssertionError, match="kappa"):
         is_r_robust(g, 5)  # the closure certifies 4 but not 5
+
+
+def test_a_cut_vertex_ceiling_scans_once(monkeypatch):
+    # two K_5 sharing node 4: lb = 2 skips the lb = 1 scan, and the ladder's
+    # one scan gives both kappa = 1 and its separator
+    connectivity = importlib.import_module("netrobust.connectivity")
+    module = importlib.import_module("netrobust.robustness")
+    scan, scans = connectivity._articulation, []
+
+    def counted(g):
+        scans.append(g.n)
+        return scan(g)
+
+    monkeypatch.setattr(connectivity, "_articulation", counted)
+    monkeypatch.setattr(module, "_articulation", counted)
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    g = Graph(9, edges + [(u + 4, v + 4) for u, v in edges])
+    assert not is_r_robust(g, 3)
+    assert scans == [9]
 
 
 def test_descent_jumps_by_the_recounted_reach(monkeypatch, caplog):
@@ -876,6 +895,15 @@ def test_check_subsets_reachable_examples():
         check_subsets_reachable(path(5), 1, 0)
     with pytest.raises(ResourceGuardError):
         check_subsets_reachable(path(27), 1, 3)
+
+
+def test_subset_walk_is_refused_by_its_prefix_count():
+    # K_24 at cap 12 would walk C(25, 12) = 5,200,300 seed-set prefixes
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="subset enumeration of up to 5200300 seed-set prefixes"):
+        check_subsets_reachable(complete(24), 12, 12)
+    assert time.perf_counter() - start < 0.1
+    assert check_subsets_reachable(complete(14), 7, 7)  # C(15, 7) = 6,435 prefixes run
 
 
 def test_subset_reachability_does_not_follow_from_robustness():
