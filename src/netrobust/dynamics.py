@@ -112,48 +112,52 @@ def wmsr_filter(own: float, neighbor_values: list, f: int, mode: str = "strict")
         raise ValueError("f must be nonnegative")
     if mode not in ("strict", "literal"):
         raise ValueError("mode must be 'strict' or 'literal'")
-    vals = list(neighbor_values)  # the one-column case of _kept
-    column = np.array(vals, dtype=float).reshape(-1, 1)
-    keep = _kept(column, own, np.ones(column.shape, bool), f, mode)
-    return [x for x, k in zip(vals, keep[:, 0]) if k]
+    vals = list(neighbor_values)  # the one-row case of _kept, listed last first
+    row = np.array(vals[::-1], dtype=float).reshape(1, -1)
+    keep = _kept(row, own, np.ones(row.shape, bool), [0], f, mode)
+    return [x for x, k in zip(vals, keep[0, ::-1]) if k]
 
 
-def _kept(values, own, keep, f: int, mode: str):
-    """Which entries of each column of values W-MSR keeps, of those keep marks:
-    f passes drop the largest candidate, f the smallest (in strict mode only
+def _kept(values, own, keep, rows, f: int, mode: str):
+    """Which entries of each row of values W-MSR keeps, of those keep marks,
+    for rows that list a node's neighbors last first (rows indexes them): f
+    passes drop the largest candidate, f the smallest (in strict mode only
     values above, or below, own are candidates); of equal ones the last goes."""
-    if f == 0 or not len(values):
+    if f == 0 or not values.size:
         return keep
-    last, cols = len(values) - 1, np.arange(values.shape[1])
-    for fill, extreme, beyond in ((-np.inf, np.maximum, np.greater), (np.inf, np.minimum, np.less)):
+    # int64 keys in float order: + 0.0 ties -0.0 with 0.0, and a negative
+    # float's magnitude bits are flipped so that larger ones sort lower.
+    bits = (values + 0.0).view(np.int64)
+    key, none = bits ^ ((bits >> 63) & (2**63 - 1)), -(2**63)
+    for order, beyond in ((key, np.greater), (~key, np.less)):
         cand = keep & beyond(values, own) if mode == "strict" else keep
-        left = cand.copy()
+        left = np.where(cand, order, none)
         for _ in range(f):
-            ext = extreme.reduce(np.where(left, values, fill), axis=0)
-            hit = left & (values == ext)
-            # No hit left: argmax 0 names the last row, no candidate either.
-            left[last - hit[::-1].argmax(axis=0), cols] = False
-        keep = keep ^ cand ^ left
+            # A row's first maximum is the last of equals; with no candidate
+            # left, argmax names a cell that holds none already.
+            left[rows, left.argmax(axis=1)] = none
+        keep = keep ^ cand ^ (left > none)
     return keep
 
 
 def _neighbor_blocks(g: Graph) -> list:
-    """(nodes, idx, real) per block: column j of idx lists the neighbors of
-    nodes[j] in ascending order, padded with n, the index of a spare value
-    slot, and real marks the neighbors. A block holds the nodes whose degree
-    rounds up to one power of two, padding at most 4m + n cells in all,
-    unless one block of the maximum degree pads at most _PAD_CELLS."""
-    rows = [list(iter_bits(row)) for row in g.adj]
-    top = max(map(len, rows), default=0)
+    """(nodes, idx, real, rows) per block: row j of idx lists the neighbors of
+    nodes[j] last first, after padding with n, the index of a spare value
+    slot; real marks the neighbors, rows numbers the rows. A block holds the
+    nodes whose degree rounds up to one power of two, padding at most 4m + n
+    cells in all, unless one block of the maximum degree pads at most
+    _PAD_CELLS."""
+    nbrs = [list(iter_bits(row)) for row in g.adj]
+    top = max(map(len, nbrs), default=0)
     blocks: dict = {}
-    for v, row in enumerate(rows):
+    for v, row in enumerate(nbrs):
         w = top if top * g.n <= _PAD_CELLS else 1 << max(len(row) - 1, 0).bit_length()
         blocks.setdefault(max(w, 1), []).append(v)
     for w, nodes in blocks.items():
-        idx = np.full((w, len(nodes)), g.n, np.intp)
+        idx = np.full((len(nodes), w), g.n, np.intp)
         for j, v in enumerate(nodes):
-            idx[:len(rows[v]), j] = rows[v]
-        blocks[w] = (np.array(nodes), idx, idx < g.n)
+            idx[j, w - len(nbrs[v]):] = nbrs[v][::-1]
+        blocks[w] = (np.array(nodes), idx, idx < g.n, np.arange(len(nodes)))
     return [blocks[w] for w in sorted(blocks)]
 
 
@@ -162,13 +166,14 @@ def _wmsr_update(blocks, values, config: ConsensusConfig, round_index: int, rng)
     n = len(values)
     x = np.array([*values, 0.0], dtype=float)
     total, count = np.empty(n), np.empty(n)
-    for nodes, idx, real in blocks:
+    for nodes, idx, real, rows in blocks:
         nbr = x[idx]
-        keep = _kept(nbr, x[nodes], real, config.f_parameter, config.filter_mode)
-        # accumulate adds row after row, keeping each partial sum: a left fold
-        # in neighbor order; + 0.0 makes it one from 0.0 (-0.0 becomes 0.0).
-        total[nodes] = np.add.accumulate(np.where(keep, nbr, 0.0))[-1] + 0.0
-        count[nodes] = keep.sum(axis=0)
+        keep = _kept(nbr, x[nodes, None], real, rows, config.f_parameter, config.filter_mode)
+        # accumulate adds entry after entry from each row's far end, keeping
+        # each partial sum: a left fold in neighbor order; + 0.0 makes it one
+        # from 0.0 (-0.0 becomes 0.0).
+        total[nodes] = np.add.accumulate(np.where(keep, nbr, 0.0)[:, ::-1], axis=1)[:, -1] + 0.0
+        count[nodes] = keep.sum(axis=1)
     out = ((x[:n] + total) / (1 + count)).tolist()
     for v in sorted(config.adversary_set):
         out[v] = config.adversary_strategy[v].broadcast(round_index, rng)
@@ -186,11 +191,6 @@ def wmsr_round(g: Graph, values, config: ConsensusConfig, round_index: int = 1, 
     return _wmsr_update(_neighbor_blocks(g), values, config, round_index, rng)
 
 
-def _normal_spread(values, normal) -> float:
-    vals = [values[v] for v in normal]
-    return max(vals) - min(vals)
-
-
 def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> ConsensusTrace:
     """Iterate wmsr_round until the normal-node spread drops under epsilon or
     max_rounds is hit, checking F-locality once, before the first round. Also
@@ -206,8 +206,8 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
     hi = max(initial_values[v] for v in normal)
     slack = _VALIDITY_SLACK * max(1.0, abs(lo), abs(hi))
     rounds = [tuple(float(x) for x in initial_values)]
-    values = list(initial_values)
-    spread, blocks = _normal_spread(values, normal), []
+    values, at = list(initial_values), np.array(normal)
+    spread, blocks = hi - lo, []
     if not spread < config.convergence_epsilon:
         if not validate_f_local(g, config.adversary_set, config.f_parameter):
             raise ValueError("adversary placement violates F-local")
@@ -217,15 +217,15 @@ def run_consensus(g: Graph, initial_values, config: ConsensusConfig) -> Consensu
         k += 1
         values = _wmsr_update(blocks, values, config, k, rng)
         rounds.append(tuple(values))
-        for v in normal:
-            if not lo - slack <= values[v] <= hi + slack:
-                raise RuntimeError(
-                    f"validity violated: node {v} left [{lo}, {hi}] at round {k}"
-                )
-        spread = _normal_spread(values, normal)
+        now = np.array(values, dtype=float)[at]
+        least, most = now.min(), now.max()
+        if not (lo - slack <= least and most <= hi + slack):  # also if a value is NaN
+            v = next(v for v in normal if not lo - slack <= values[v] <= hi + slack)
+            raise RuntimeError(f"validity violated: node {v} left [{lo}, {hi}] at round {k}")
+        spread = float(most - least) + 0.0  # max and min may be zeros of opposite signs
     converged = spread < config.convergence_epsilon
     if _log.isEnabledFor(logging.DEBUG):
-        state, widths = "converged" if converged else "not converged", [len(b[1]) for b in blocks]
+        state, widths = "converged" if converged else "not converged", [b[1].shape[1] for b in blocks]
         _log.debug("consensus %s after %d rounds: spread %r, n=%d, widths=%s", state, k, spread, g.n, widths)
     return ConsensusTrace(tuple(rounds), converged, spread)
 

@@ -4,6 +4,7 @@ import functools
 import importlib
 import itertools
 import logging
+import math
 import operator
 import random
 import tracemalloc
@@ -521,12 +522,15 @@ def test_consensus_matches_the_round_by_round_reference():
 
 
 _REPEATS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+# The ends of float order, the least subnormal and a negative zero: the
+# filter's order keys must rank them as the float comparisons do.
+_ENDS = [-math.inf, math.inf, -1e308, 1e308, 5e-324, -0.0]
 
 
 @settings(max_examples=400)
 @given(
-    _REPEATS | st.floats(-3, 3),
-    st.lists(_REPEATS | st.floats(-3, 3), max_size=14),
+    _REPEATS | st.sampled_from(_ENDS) | st.floats(-3, 3),
+    st.lists(_REPEATS | st.sampled_from(_ENDS) | st.floats(-3, 3), max_size=14),
     st.integers(0, 5),
     st.sampled_from(["strict", "literal"]),
 )
@@ -627,6 +631,61 @@ def test_batched_rounds_match_the_reference_bit_for_bit(pad_cells, monkeypatch):
     assert cases == 40
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and 1e308 + 1e308 in a fold
+@pytest.mark.parametrize("pad_cells", [dynamics._PAD_CELLS, 0])
+def test_rounds_with_infinite_values_match_the_reference(pad_cells, monkeypatch):
+    monkeypatch.setattr(dynamics, "_PAD_CELLS", pad_cells)
+    rng = random.Random(10)
+    cases = 0
+    for g in _consensus_graphs():
+        for f in (1, 2):
+            for mode in ("strict", "literal"):
+                for end in (math.inf, -math.inf):
+                    adversaries = rng.sample(range(g.n), f)
+                    config = ConsensusConfig(
+                        f_parameter=f,
+                        filter_mode=mode,
+                        max_rounds=25,
+                        adversary_set=frozenset(adversaries),
+                        adversary_strategy={a: Constant(end) for a in adversaries},
+                    )
+                    values = [end if v in adversaries else rng.choice(_ENDS + [rng.random()]) for v in range(g.n)]
+                    ours = wmsr_round(g, values, config)
+                    assert _bits([ours]) == _bits([reference_wmsr_round(g, values, config, 1, None)])
+                    # finite normal values: the filter drops every infinite broadcast
+                    initial = [end if v in adversaries else rng.random() for v in range(g.n)]
+                    trace = run_consensus(g, initial, config)
+                    rounds, converged, spread = reference_run_consensus(g, initial, config)
+                    assert _bits(trace.rounds) == _bits(rounds)
+                    assert (trace.converged, float(trace.final_spread).hex()) == (converged, float(spread).hex())
+                    cases += 1
+    assert cases == 40
+
+
+@pytest.mark.parametrize(
+    "second,node",
+    [
+        ([-9.0, 4.0, -1.0, 1.0, 7.0], 1),  # above the envelope, and node 2 below it
+        ([-9.0, 1.0, -1.0, 4.0, 7.0], 2),  # below it, and nodes 3 and 4 above it
+        ([-9.0, 1.0, 2.0, math.nan, 1.0], 3),
+        ([99.0, 3.0 + 1e-9 * 3.0, 0.0 - 1e-9 * 3.0, 1.0, 1.0], None),  # on the edges, slack included
+    ],
+)
+def test_validity_names_the_lowest_normal_node_that_leaves(second, node, monkeypatch):
+    config = ConsensusConfig(
+        f_parameter=1, max_rounds=5, adversary_set=frozenset({0}), adversary_strategy={0: Constant(9.0)}
+    )
+    steps = iter([[9.0, 0.5, 1.5, 1.0, 2.0], second, [9.0, 1.0, 1.0, 1.0, 1.0]])
+    monkeypatch.setattr(dynamics, "_wmsr_update", lambda *args: next(steps))
+    initial = [9.0, 0.0, 3.0, 1.0, 2.0]  # the adversary, node 0, lies outside [0.0, 3.0] throughout
+    if node is None:
+        assert len(run_consensus(path(5), initial, config).rounds) == 4
+        return
+    with pytest.raises(RuntimeError) as err:
+        run_consensus(path(5), initial, config)
+    assert str(err.value) == f"validity violated: node {node} left [0.0, 3.0] at round 2"
+
+
 def test_int_values_and_an_int_broadcast_keep_the_reference_types():
     g = gen_preferential(12, 3, RngSeed(4))
     config = ConsensusConfig(
@@ -671,8 +730,8 @@ def test_consensus_logs_its_run(caplog):
 
 def _padded_cells(g):
     blocks = _neighbor_blocks(g)
-    assert sorted(v for nodes, _, _ in blocks for v in nodes.tolist()) == list(range(g.n))
-    return sum(idx.size for _, idx, _ in blocks)
+    assert sorted(v for nodes, *_ in blocks for v in nodes.tolist()) == list(range(g.n))
+    return sum(idx.size for _, idx, *_ in blocks)
 
 
 def test_padding_stays_linear_in_the_edges():
