@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netrobust.graph as graph_module
 from netrobust.graph import (
+    _LEVELS_UPTO,
     Graph,
+    _flags,
     _spread,
     complete,
     counterexample,
@@ -157,3 +162,62 @@ def test_spread_rounds_match_a_per_node_count():
                 assert got == reference_rounds(nbrs, seeds, r), (n, r, seeds)
                 thresholds.add(r)
     assert set(range(1, 9)) <= thresholds
+
+
+def recounted_levels(adj, infected, r):
+    counts = [(row & infected).bit_count() for row in adj]
+    return [sum(1 << v for v, c in enumerate(counts) if c > k) for k in range(r)]
+
+
+def test_spread_wide_rounds_match_a_per_node_count(monkeypatch):
+    """On 65-200 nodes with seed sets of at least one node in eight, the first
+    rounds pick their rows by compress and later thin rounds take the low-bit
+    loop; rounds and levels match a per-node count either way, also when a
+    call resumes from a fixpoint with its levels and a dense newly, as the
+    seed-set walk and _ladder's linking contagion do."""
+    branches = set()
+
+    def flags(mask):
+        got = _flags(mask)
+        branches.add((r, bool(got)))
+        return got
+
+    monkeypatch.setattr(graph_module, "_flags", flags)
+    rng = random.Random(4669)
+    for _ in range(60):
+        n = rng.randint(65, 200)
+        nbrs = random_neighbours(rng, n)
+        adj = [sum(1 << u for u in row) for row in nbrs]
+        for r in range(1, 6):
+            seeds = rng.sample(range(n), rng.randint(n // 8, n // 2))
+            levels = [0] * r
+            rounds = list(_spread(adj, mask_of(seeds), r, None, levels))
+            got = [{v for v in range(n) if mask >> v & 1} for mask in rounds]
+            assert got == reference_rounds(nbrs, seeds, r), (n, r, seeds)
+            fixpoint = mask_of(seeds) + sum(rounds)
+            if r <= _LEVELS_UPTO:
+                assert levels == recounted_levels(adj, fixpoint, r), (n, r, seeds)
+            outside = [v for v in range(n) if not fixpoint >> v & 1]
+            if outside:
+                newly = mask_of(rng.sample(outside, rng.randint(1, len(outside))))
+                resumed = list(_spread(adj, fixpoint | newly, r, newly, levels))
+                assert resumed == list(_spread(adj, fixpoint | newly, r)), (n, r, seeds, newly)
+                if r <= _LEVELS_UPTO:
+                    assert levels == recounted_levels(adj, fixpoint + newly + sum(resumed), r), (n, r, seeds)
+    assert branches == {(r, wide) for r in range(1, 6) for wide in (False, True)}
+
+
+def test_flags_mark_wide_dense_masks():
+    assert _flags((1 << 64) - 1) == b""  # dense but narrow
+    assert _flags(mask_of(range(7, 72, 9))) == b""  # 8 of 71 bits
+    assert _flags(mask_of(range(0, 72, 8))) == (b"\x01" + bytes(7)) * 8 + b"\x01"  # 9 of 65 bits
+    assert _flags(1 << 64 | 1) == b""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_set_of_matches_the_low_bit_listing(length, thinning, rnd):
+    mask = rnd.getrandbits(length)
+    for _ in range(thinning):
+        mask &= rnd.getrandbits(length)
+    assert set_of(mask) == frozenset(iter_bits(mask))

@@ -1,5 +1,6 @@
 """The names the package exports, and what importing it starts."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -59,3 +60,14 @@ def test_the_package_runs_as_a_module():
     done = _python("-m", "netrobust", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: netrobust ")
+
+
+def test_the_decision_path_imports_no_numpy():
+    # graph, connectivity and robustness stay pure Python, so that the exact
+    # decisions can be loaded without numpy
+    package = Path(netrobust.__file__).parent
+    for name in ("graph.py", "connectivity.py", "robustness.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], (name, imported)
