@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 
-from .graph import Graph, _least_degree, _spread, is_connected, iter_bits
+from .graph import Graph, _least_degree, _spread, is_connected, iter_bits, min_degree
 
 _log = logging.getLogger("netrobust.connectivity")
 
@@ -193,7 +193,7 @@ def _articulation(g: Graph) -> tuple[int, int]:
     return -1, unvisited
 
 
-def _ladder(g: Graph, k: int, exact: bool, s: int | None = None) -> tuple[int, int, str]:
+def _ladder(g: Graph, k: int, exact: bool) -> tuple[int, int, str]:
     """The one decision path of connectivity, for 0 <= k <= n - 1, and with
     exact also k <= min degree (k = 0 only on a disconnected graph).
 
@@ -212,8 +212,8 @@ def _ladder(g: Graph, k: int, exact: bool, s: int | None = None) -> tuple[int, i
       cut vertex the scan has visited all of node 0's component, so a node
       left unvisited means kappa = 0; a cut vertex, the separator of c = 1,
       costs one BFS to tell kappa = 0 from kappa = 1;
-    - for k >= 3, delta < k settles c, with the neighbours of the least-degree
-      node s (given, or _least_degree) as its separator; K_n has kappa = n - 1.
+    - for k >= 3, delta < k settles c, with the neighbours of a least-degree
+      node as its separator, and a complete graph has kappa = n - 1.
 
     Only then are the Esfahanian-Hakimi terminal pairs flowed, each up to
     best, the smallest flow so far; exact flows stop at the scan's bound 2.
@@ -234,7 +234,7 @@ def _ladder(g: Graph, k: int, exact: bool, s: int | None = None) -> tuple[int, i
         return 0, 0, "disconnected"
     if k == 2:
         return 2, 0, "delta <= 2"
-    adj, s = g.adj, _least_degree(g.adj) if s is None else s
+    adj, s = g.adj, _least_degree(g.adj)
     if adj[s].bit_count() < k:
         return adj[s].bit_count(), adj[s], "delta < k"
     if k == g.n - 1:
@@ -279,8 +279,7 @@ def vertex_connectivity(g: Graph) -> int:
     """
     if g.n < 2:
         raise ValueError("connectivity undefined")
-    s = _least_degree(g.adj)
-    kappa, _, how = _ladder(g, g.degree(s), True, s)
+    kappa, _, how = _ladder(g, min_degree(g), exact=True)
     _log.debug("connectivity %d: %s", kappa, how)
     return kappa
 

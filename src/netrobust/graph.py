@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress
-from operator import or_
 from typing import Iterable, Iterator
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -34,8 +32,7 @@ def _flags(mask: int) -> bytes:
 
 
 def set_of(mask: int) -> frozenset:
-    flags = _flags(mask)
-    return frozenset(compress(range(len(flags)), flags) if flags else iter_bits(mask))
+    return frozenset(iter_bits(mask))
 
 
 def _node_mask(g: Graph, nodes, what: str) -> int:
@@ -133,33 +130,33 @@ def is_connected(g: Graph) -> bool:
 
 
 # Up to this threshold _spread keeps bit-row counts of infected neighbours.
-# Each level costs every added row one more update, so above it the popcount
-# test wins on dense graphs with many seeds (README, "How the dynamics run").
+# A row's carry can climb r - 1 levels, so above it the popcount test wins on
+# dense graphs with many seeds (timings in README, "How the dynamics run").
 _LEVELS_UPTO = 3
 
 
 def _spread(adj: list, imask: int, r: int, newly: int | None = None, levels: list | None = None):
     """Masks of the nodes newly infected in each round of threshold-r contagion
     from imask, up to the fixpoint. Only the rows of newly (default imask) are
-    counted afresh, picked by compress when newly is wide and dense (_flags);
-    imask & ~newly must already be a fixpoint.
+    counted afresh; imask & ~newly must already be a fixpoint.
 
     For r <= _LEVELS_UPTO, levels[k] holds the nodes with more than k infected
-    neighbours. Each infected node's row is added once (in a wide, dense round
-    by straight-line updates, else by an ascending carry that stops when empty
-    or at level r - 1), and a round infects levels[r - 1] & ~imask. A given
-    levels must count imask & ~newly; it is updated in place, counts the
-    fixpoint once the rounds are exhausted, and without it every row of imask
-    is counted. For larger r a round tests only uninfected neighbours of the
-    nodes infected the round before (the seeds, at first), as no other count
-    rose; levels is not read."""
+    neighbours. Each infected node's row is added once, by an ascending carry
+    that stops when it is empty or at level r - 1, and a round infects
+    levels[r - 1] & ~imask. At r = 2 and 3 a round whose newly is wide and
+    dense (_flags) picks its rows by compress and adds them by straight-line
+    updates instead. A given levels must count imask & ~newly; it is
+    updated in place and counts the fixpoint once the rounds are exhausted.
+    Without it every row of imask is counted. For larger r a round tests only
+    uninfected neighbours of the nodes infected the round before (the seeds,
+    at first), as no other count rose, and levels is not read."""
     newly = imask if newly is None else newly
     if r <= _LEVELS_UPTO:
         if levels is None:
             levels, newly = [0] * r, imask
         top = r - 1
         while True:
-            flags = newly > _NARROW and _flags(newly)
+            flags = newly > _NARROW and 2 <= r <= 3 and _flags(newly)
             if not flags:
                 while newly:
                     low = newly & -newly
@@ -174,8 +171,6 @@ def _spread(adj: list, imask: int, r: int, newly: int | None = None, levels: lis
                         k += 1
                     else:
                         levels[top] |= carry
-            elif r == 1:
-                levels[0] = reduce(or_, compress(adj, flags), levels[0])
             elif r == 2:
                 l0, l1 = levels
                 for row in compress(adj, flags):
@@ -192,15 +187,12 @@ def _spread(adj: list, imask: int, r: int, newly: int | None = None, levels: lis
             imask |= newly
             yield newly
     while True:
-        flags = newly > _NARROW and _flags(newly)
-        if flags:
-            frontier, newly = reduce(or_, compress(adj, flags), 0), 0
-        else:
-            frontier = 0
-            while newly:
-                low = newly & -newly
-                newly ^= low
-                frontier |= adj[low.bit_length() - 1]
+        frontier = 0
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            frontier |= adj[low.bit_length() - 1]
+        newly = 0
         fresh = frontier & ~imask
         while fresh:
             low = fresh & -fresh
